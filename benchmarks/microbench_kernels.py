@@ -2,7 +2,9 @@
 
 A fast (seconds, not minutes) visibility check for CI and local tuning:
 times the fused OLH support-count kernel and the Hadamard candidate
-kernel against their ``_reference_*`` twins on a fixed-seed batch (the
+kernel against their ``_reference_*`` twins on a fixed-seed batch (OLH
+at every kind of hash range ``g`` the kernel's divisibility test
+distinguishes: odd, a power of two, and even but not a power of two; the
 bit-sliced Hadamard kernel also at a 2^20 domain with 1024 candidates),
 cached-plan streaming absorption against per-pane plan rebuild, and the
 vectorized session sweep against the per-report reference walk; prints
@@ -35,6 +37,11 @@ from repro.util.kernels import (
 )
 
 
+#: OLH privacy levels whose hash ranges g = round(e^ε + 1) cover the
+#: three kinds of g: 3 (odd), 8 (power of two), 56 (even, not a power).
+OLH_EPSILONS = (0.5, 2.0, 4.0)
+
+
 def _time(fn):
     t0 = time.perf_counter()
     result = fn()
@@ -52,18 +59,22 @@ def main(argv=None) -> int:
     cands = np.arange(args.domain, dtype=np.int64)
     ok = True
 
-    olh = OptimalLocalHashing(args.domain, args.epsilon)
     values = rng.integers(0, args.domain, size=args.users)
-    reports = olh.privatize(values, rng=rng)
-    ref, ref_s = _time(lambda: olh._reference_support_counts_for(reports, cands))
-    fused, fused_s = _time(lambda: olh.support_counts_for(reports, cands))
-    identical = np.array_equal(ref, fused)
-    ok &= identical
-    print(
-        f"olh   n={args.users} d={args.domain} g={olh.g}: "
-        f"ref {ref_s:.3f}s fused {fused_s:.3f}s "
-        f"speedup {ref_s / fused_s:.2f}x bit_identical={identical}"
-    )
+    for epsilon in OLH_EPSILONS:
+        olh = OptimalLocalHashing(args.domain, epsilon)
+        reports = olh.privatize(values, rng=rng)
+        ref, ref_s = _time(
+            lambda: olh._reference_support_counts_for(reports, cands)
+        )
+        fused, fused_s = _time(lambda: olh.support_counts_for(reports, cands))
+        identical = np.array_equal(ref, fused)
+        ok &= identical
+        print(
+            f"olh   n={args.users} d={args.domain} g={olh.g}: "
+            f"ref {ref_s:.3f}s fused {fused_s:.3f}s "
+            f"speedup {ref_s / fused_s:.2f}x bit_identical={identical}"
+        )
+    olh = OptimalLocalHashing(args.domain, args.epsilon)
 
     hr = HadamardResponse(args.domain, args.epsilon)
     hr_reports = hr.privatize(values, rng=rng)

@@ -107,7 +107,7 @@ class _LocalHashing(PureFrequencyOracle):
         end; property-tested).
         """
         self._check_reports(reports)
-        if self.g >= (1 << 31):  # outside the mod-magic proof; rare
+        if self.g >= (1 << 31):  # beyond the kernel's uint32 bounds; rare
             return self._reference_support_counts_for(reports, candidates)
         cands = check_domain_values(candidates, self._domain_size, name="candidates")
         kernel = self._support_kernel(cands)

@@ -20,20 +20,41 @@ This module replaces both:
 
 * :func:`mersenne_reduce` — branch-free shift-add reduction modulo the
   Mersenne prime (``2³¹ ≡ 1 (mod p)`` makes ``x mod p`` two fold steps
-  plus one conditional subtract; no division).
+  plus one conditional subtract; no division).  Client-side hashing
+  (``hash_elementwise``, ``SeededHashFamily``) uses it.
 * :func:`mod_magic` / :func:`apply_mod` — exact division-free ``mod g``
   for 31-bit dividends via the Granlund–Montgomery multiply-shift magic
-  number (the same trick compilers emit for constant divisors).
+  number (the same trick compilers emit for constant divisors), for the
+  same client-side callers.
 * :class:`FusedSupportKernel` — the fused hash→compare→accumulate
-  support-count kernel.  It tiles (reports × candidates) into
-  cache-sized blocks over *preallocated* scratch, evaluates the affine
-  hash in place, compares against each report's value and adds matches
-  straight into an int64 counts vector — the ``(n, d)`` matrix is never
-  materialized.  Report tiles optionally fan out across a shared thread
-  pool (the inner loops are pure NumPy and release the GIL), with each
-  task accumulating into its own partial counts vector; integer
-  addition is associative, so the result is bit-identical regardless of
-  thread count or schedule.
+  support-count kernel.  It never computes ``h mod g``.  For a candidate
+  ``x`` and a report ``(a, b, y)``, with ``a, b, x < p`` and ``y < g``:
+
+  - ``h = a·x + b ≤ p(p − 1) < 2⁶²`` is the only uint64 arithmetic;
+  - one fold ``(h & p) + (h >> 31)`` is at most ``2p − 2`` (``2p − 3``
+    is the largest a valid input reaches), so it is written straight
+    into uint32, and one wrapping ``r − p`` plus ``minimum`` gives the
+    canonical ``r = h mod p``;
+  - ``r mod g == y`` exactly when ``g`` divides ``t = r + g − y``, and
+    ``1 ≤ t < p + g ≤ 2³² − 2``, so ``t`` is a uint32;
+  - with ``g = 2ᵏ·o``, ``o`` odd, ``g | t`` exactly when
+    ``rotr(t·o⁻¹ mod 2³², k) ≤ ⌊(2³² − 1)/g⌋`` (Hacker's Delight, 2nd
+    ed., §10-17: multiplying by ``o⁻¹`` maps the multiples of ``g``
+    onto ``2ᵏ·[0, ⌊(2³² − 1)/g⌋]`` and everything else elsewhere; the
+    rotate moves nonzero low bits above the bound).  At ``k = 0`` the
+    rotate is the identity, so one compare path serves every ``g``.
+
+  It tiles (candidates × reports) into blocks of at most 2¹⁶ cells over
+  per-thread scratch (~1.1 MB, inside one core's L2), counts matches
+  through a uint8 view into uint16 tile sums and adds them straight into
+  an int64 counts vector — the ``(n, d)`` matrix is never materialized.
+  Inputs outside that exact domain (``y ≥ g``, ``a`` or ``b ≥ p``,
+  candidates ``≥ p``) are refused with ``ValueError``, never miscounted.
+  Report tiles optionally fan out across a shared thread pool (the
+  inner loops are pure NumPy and release the GIL), with each task
+  accumulating into its own partial counts vector; integer addition is
+  associative, so the result is bit-identical regardless of thread
+  count or schedule.
 * :func:`hadamard_support_counts` — bit-sliced Hadamard candidate
   decoding: report index bit-planes and ±1 signs are packed into machine
   words (:func:`repro.util.wht.pack_bit_planes`), the popcount parity
@@ -53,8 +74,8 @@ Kernel plans and caching
 Streaming consumers (``EventTimeCollector`` panes, ``RepeatedCollector``
 rounds, ``collect_group`` chunks) decode many small report batches
 against the *same* candidate set.  The candidate-side setup — premixed
-candidates + mod-``g`` magic for local hashing, packed candidate bit
-masks for Hadamard — is captured in reusable *plans*
+candidates + the divisibility-test constants for local hashing, packed
+candidate bit masks for Hadamard — is captured in reusable *plans*
 (:class:`FusedSupportKernel`, :class:`HadamardCandidatePlan`) and cached
 in the process-wide :data:`kernel_plan_cache`, keyed by the oracle's
 config fingerprint plus :func:`candidate_digest`.  Plans are immutable
@@ -79,7 +100,7 @@ Timing
 ------
 :func:`kernel_timing_scope` opens a thread-local scope that every kernel
 invocation reports into, split into *hash* seconds (affine evaluation +
-reductions) and *accumulate* seconds (compare + count).  The sharded
+reductions) and *accumulate* seconds (match test + count).  The sharded
 pipeline wraps each shard's ``absorb`` in a scope so ``ShardStats`` can
 say where decode time goes.  Stages are timed on the per-thread CPU
 clock (``time.thread_time``), which does not advance while the OS has a
@@ -145,8 +166,7 @@ def mersenne_reduce(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     to ``x % p``.
 
     ``out`` may alias ``x`` (the common in-place use); one temporary the
-    shape of ``x`` is allocated for the low halves unless the caller
-    tiles through preallocated scratch (see :class:`FusedSupportKernel`).
+    shape of ``x`` is allocated for the low halves.
     """
     x = np.asarray(x, dtype=np.uint64)
     if out is None:
@@ -161,22 +181,6 @@ def mersenne_reduce(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.add(out, lo, out=out)
     np.subtract(out, MERSENNE_P, out=out, where=out >= MERSENNE_P)
     return out
-
-
-def _mersenne_reduce_into(x: np.ndarray, lo: np.ndarray, mask: np.ndarray) -> None:
-    """In-place Mersenne reduction of ``x`` using caller-owned scratch.
-
-    ``lo`` (uint64) and ``mask`` (bool) must match ``x``'s shape; nothing
-    is allocated.  This is the tile-loop body of the fused kernels.
-    """
-    np.bitwise_and(x, MERSENNE_P, out=lo)
-    np.right_shift(x, _U31, out=x)
-    np.add(x, lo, out=x)
-    np.bitwise_and(x, MERSENNE_P, out=lo)
-    np.right_shift(x, _U31, out=x)
-    np.add(x, lo, out=x)
-    np.greater_equal(x, MERSENNE_P, out=mask)
-    np.subtract(x, MERSENNE_P, out=x, where=mask)
 
 
 #: Largest divisor/dividend bound for the multiply-shift magic: the
@@ -214,8 +218,7 @@ def apply_mod(
     reduces modulo the Mersenne prime first (so dividends are < p < 2³¹
     by construction); the guard is for everyone else.
 
-    Returns a fresh array; the fused kernels inline the same three
-    operations over scratch instead.
+    Returns a fresh array.
     """
     x = np.asarray(x, dtype=np.uint64)
     d = int(divisor)
@@ -229,16 +232,6 @@ def apply_mod(
     m, s = magic if magic is not None else mod_magic(d)
     q = (x * m) >> s
     return x - q * np.uint64(d)
-
-
-def _apply_mod_into(
-    x: np.ndarray, g: np.uint64, m: np.uint64, s: np.uint64, q: np.ndarray
-) -> None:
-    """In-place ``x mod g`` over caller scratch ``q`` (shape of ``x``)."""
-    np.multiply(x, m, out=q)
-    np.right_shift(q, s, out=q)
-    np.multiply(q, g, out=q)
-    np.subtract(x, q, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +511,12 @@ _pool_size = 0
 def kernel_thread_count() -> int:
     """Worker count for the shared tile pool.
 
-    ``REPRO_KERNEL_THREADS`` overrides; the default is the CPU count.
-    A value of 1 makes every kernel run inline (no pool, no overhead) —
-    the right call on single-core machines and under test.
+    ``REPRO_KERNEL_THREADS`` overrides; the default is the number of
+    CPUs this process may run on (``os.sched_getaffinity``, so a process
+    pinned by a cpuset or ``taskset`` starts no more workers than it can
+    run), or ``os.cpu_count()`` where the platform cannot say.  A value
+    of 1 makes every kernel run inline (no pool, no overhead) — the
+    right call on single-core machines and under test.
     """
     env = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
     if env:
@@ -528,6 +524,8 @@ def kernel_thread_count() -> int:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -573,24 +571,19 @@ def _submit_to_shared_pool(threads: int, calls) -> list:
 #: immutable (and therefore cacheable/copy-safe), repeated small absorbs
 #: stop re-allocating tile buffers, and no two tasks can share a buffer
 #: because a task runs on exactly one thread.  Buffers grow to the
-#: largest tile a thread has seen and are bounded by the tile geometry
-#: (≤ ``_TILE_CELLS`` cells each, ~9 MB per thread worst case).
+#: largest tile a thread has seen and are bounded by the tile geometry:
+#: ~1.1 MB per thread for the local-hashing kernel (``_TILE_CELLS``
+#: cells × 18 bytes) and ~8 MB for the bit-sliced Hadamard kernel
+#: (``_HAD_TILE_CELLS`` words × two uint64 planes).
 _scratch_local = threading.local()
 
 
-def _scratch_uint64(name: str, cells: int) -> np.ndarray:
+def _scratch(name: str, dtype, cells: int) -> np.ndarray:
+    """A ``cells``-long prefix of this thread's ``name`` buffer."""
     buf = getattr(_scratch_local, name, None)
     if buf is None or buf.shape[0] < cells:
-        buf = np.empty(cells, dtype=np.uint64)
+        buf = np.empty(cells, dtype=dtype)
         setattr(_scratch_local, name, buf)
-    return buf[:cells]
-
-
-def _scratch_bool(cells: int) -> np.ndarray:
-    buf = getattr(_scratch_local, "match", None)
-    if buf is None or buf.shape[0] < cells:
-        buf = np.empty(cells, dtype=bool)
-        setattr(_scratch_local, "match", buf)
     return buf[:cells]
 
 
@@ -598,27 +591,51 @@ def _scratch_bool(cells: int) -> np.ndarray:
 # the fused support-count kernel (OLH / BLH)
 # ---------------------------------------------------------------------------
 
-#: Default tile geometry: candidates × reports blocks of at most
-#: ``_TILE_CELLS`` cells keep the three scratch planes (uint64 hash,
-#: uint64 quotient, bool match) inside the last-level cache instead of
-#: streaming multi-MB temporaries through main memory.
-_TILE_CELLS = 1 << 19
+#: Tile geometry: candidates × reports blocks of at most ``_TILE_CELLS``
+#: cells.  A tile's four scratch planes (uint64 product, two uint32
+#: residue planes, bool match: 18 bytes a cell, ~1.1 MB) stay inside one
+#: core's L2 cache instead of streaming through the shared last level.
+_TILE_CELLS = 1 << 16
+#: Reports per tile; must stay ≤ 2¹⁶ − 1 so the uint16 per-tile match
+#: sums cannot overflow.
 _MAX_TILE_REPORTS = 1 << 14
 #: Below this many (report × candidate) cells a kernel call runs inline
 #: even when a pool is available — dispatch would cost more than it buys.
 _MIN_PARALLEL_CELLS = 1 << 21
+
+_P32 = np.uint32(MERSENNE_P)
 
 
 class FusedSupportKernel:
     """Fused hash→compare→accumulate support counting for local hashing.
 
     One instance is built per candidate list: the candidates are premixed
-    into the prime field once, the mod-``g`` magic is precomputed, and
-    every :meth:`support_counts` call streams report tiles through
-    pooled per-thread scratch.  For value ``v`` and report ``(s, y)`` the
-    kernel counts ``h_s(v) == y`` matches — exactly the quantity
-    ``_LocalHashing.support_counts_for`` used to extract from the
-    materialized ``hash_cross`` matrix, bit for bit.
+    into the prime field once, the divisibility-test constants for ``g``
+    are precomputed, and every :meth:`support_counts` call streams
+    report tiles through pooled per-thread scratch.  For value ``v`` and
+    report ``(s, y)`` the kernel counts ``h_s(v) == y`` matches — exactly
+    the quantity ``_LocalHashing._reference_support_counts_for`` extracts
+    from the materialized ``hash_cross`` matrix, bit for bit.
+
+    Per cell, with ``a, b, x < p = 2³¹ − 1`` and ``y < g ≤ p``:
+
+    1. ``h = a·x + b ≤ p(p − 1) < 2⁶²`` (uint64 multiply-add).
+    2. One Mersenne fold ``(h & p) + (h >> 31) ≤ 2p − 2`` into uint32,
+       then ``r = min(fold, fold − p)`` with a wrapping subtract (it
+       wraps above ``fold`` unless ``fold ≥ p``): the canonical
+       ``h mod p``.
+    3. ``t = r + g − y`` lies in ``[1, p + g) ⊆ [1, 2³² − 2]``, and
+       ``h mod p mod g == y`` exactly when ``g`` divides ``t``.
+    4. With ``g = 2ᵏ·o``, ``o`` odd: ``g | t`` exactly when
+       ``rotr(t·o⁻¹ mod 2³², k) ≤ ⌊(2³² − 1)/g⌋`` (Hacker's Delight,
+       2nd ed., §10-17).  ``o⁻¹``, ``k`` and the bound are computed here
+       once; at ``k = 0`` the rotate is the identity, so every ``g``
+       runs the same passes.
+
+    Steps 2–4 run on uint32 planes.  Inputs outside that domain would
+    break the bounds and could count false matches, so they are refused:
+    candidates ``≥ p`` here, ``y ≥ g`` or ``a``/``b ≥ p`` in
+    :meth:`support_counts`.
 
     Instances are immutable decode *plans*: the candidate array is
     marked read-only and no per-batch state is ever stored on the
@@ -631,7 +648,7 @@ class FusedSupportKernel:
         Candidate values already premixed into ``[0, p)`` (the caller
         owns the splitmix bijection; see ``repro.util.hashing``).
     range_size:
-        The hash range ``g``.
+        The hash range ``g``, in ``[1, 2³¹)``.
     threads:
         Tile-pool fan-out; ``None`` uses :func:`kernel_thread_count`.
     """
@@ -646,19 +663,25 @@ class FusedSupportKernel:
         x = np.ascontiguousarray(premixed_candidates, dtype=np.uint64)
         if x.ndim != 1:
             raise ValueError(f"candidates must be 1-D, got shape {x.shape}")
+        if x.size and np.maximum.reduce(x) >= MERSENNE_P:
+            raise ValueError("premixed candidates must lie in [0, 2^31 - 1)")
         if x is premixed_candidates or np.shares_memory(x, premixed_candidates):
             x = x.copy()
         x.setflags(write=False)
         g = int(range_size)
         if g < 1:
             raise ValueError(f"range_size must be >= 1, got {range_size}")
-        if g >= _MAGIC_MAX:
+        if g >= 1 << 31:
             raise ValueError(
                 f"range_size must be < 2^31 for the fused kernel, got {range_size}"
             )
+        k = (g & -g).bit_length() - 1
         self._x = x
         self._g = np.uint64(g)
-        self._magic, self._shift = mod_magic(g)
+        self._odd_inverse = np.uint32(pow(g >> k, -1, 1 << 32))
+        self._rotate_right = np.uint32(k)
+        self._rotate_left = np.uint32((32 - k) % 32)
+        self._multiple_bound = np.uint32((2**32 - 1) // g)
         self._threads = threads
         d = max(1, x.shape[0])
         self._tile_candidates = min(d, 256)
@@ -676,9 +699,11 @@ class FusedSupportKernel:
         """Per-candidate match counts for reports ``((a, b), values)``.
 
         ``a``/``b`` are the affine hash parameters of each report's seed
-        (derived once per batch by the caller) and ``values`` the
-        perturbed hashed values in ``[0, g)``.  Returns float64 counts —
-        integers below 2⁵³, so float addition downstream stays exact.
+        (derived once per batch by the caller, in ``[0, p)``) and
+        ``values`` the perturbed hashed values in ``[0, g)``; anything
+        outside those ranges raises ``ValueError``.  Returns float64
+        counts — integers below 2⁵³, so float addition downstream stays
+        exact.
         """
         a = np.ascontiguousarray(a, dtype=np.uint64)
         b = np.ascontiguousarray(b, dtype=np.uint64)
@@ -688,7 +713,11 @@ class FusedSupportKernel:
         d = self.num_candidates
         counts = np.zeros(d, dtype=np.int64)
         n = a.shape[0]
-        if n and self._x.size:
+        if n and np.maximum.reduce(y) >= self._g:
+            raise ValueError(f"report values must lie in [0, {int(self._g)})")
+        if n and max(np.maximum.reduce(a), np.maximum.reduce(b)) >= MERSENNE_P:
+            raise ValueError("hash parameters a and b must lie in [0, 2^31 - 1)")
+        if n and d:
             timing = _active_timing()
             threads = (
                 self._threads if self._threads is not None else kernel_thread_count()
@@ -737,16 +766,20 @@ class FusedSupportKernel:
         from the per-thread pool — repeated small absorbs (streaming
         panes) reuse the same buffers call after call, and under
         affinity scheduling each worker's buffers are already sized for
-        its sticky span.
+        its sticky span.  The arithmetic and its bounds are in the class
+        docstring.
         """
         x = self._x
         d = x.shape[0]
         tile_r = min(self._tile_reports, hi - lo)
         tile_c = min(self._tile_candidates, d)
         cells = tile_c * tile_r
-        block = _scratch_uint64("block", cells).reshape(tile_c, tile_r)
-        scratch = _scratch_uint64("quotient", cells).reshape(tile_c, tile_r)
-        match = _scratch_bool(cells).reshape(tile_c, tile_r)
+        product = _scratch("product", np.uint64, cells)
+        residue = _scratch("residue", np.uint32, cells)
+        spare = _scratch("spare", np.uint32, cells)
+        match = _scratch("match", np.bool_, cells)
+        # g − y ∈ [1, g]: the per-report offset of the divisibility test.
+        offset = (self._g - y[lo:hi]).astype(np.uint32)
         counts = np.zeros(d, dtype=np.int64)
         hash_s = 0.0
         acc_s = 0.0
@@ -756,21 +789,33 @@ class FusedSupportKernel:
             w = r1 - r0
             ar = a[None, r0:r1]
             br = b[None, r0:r1]
-            yr = y[None, r0:r1]
+            off = offset[None, r0 - lo : r1 - lo]
             for c0 in range(0, d, tile_c):
                 c1 = min(c0 + tile_c, d)
-                h = block[: c1 - c0, :w]
-                q = scratch[: c1 - c0, :w]
-                eq = match[: c1 - c0, :w]
+                shape = (c1 - c0, w)
+                size = shape[0] * w
+                h = product[:size].reshape(shape)
+                r = residue[:size].reshape(shape)
+                s = spare[:size].reshape(shape)
+                eq = match[:size].reshape(shape)
                 t0 = _thread_clock()
-                # h = ((a·x + b) mod p) mod g, entirely in scratch:
                 np.multiply(x[c0:c1, None], ar, out=h)
                 np.add(h, br, out=h)
-                _mersenne_reduce_into(h, q, eq)
-                _apply_mod_into(h, self._g, self._magic, self._shift, q)
+                np.bitwise_and(h, MERSENNE_P, out=r, casting="unsafe")
+                np.right_shift(h, _U31, out=s, casting="unsafe")
+                np.add(r, s, out=r)
+                np.subtract(r, _P32, out=s)
+                np.minimum(r, s, out=r)
                 t1 = _thread_clock()
-                np.equal(h, yr, out=eq)
-                counts[c0:c1] += eq.sum(axis=1)
+                np.add(r, off, out=r)
+                np.multiply(r, self._odd_inverse, out=r)
+                np.right_shift(r, self._rotate_right, out=s)
+                np.left_shift(r, self._rotate_left, out=r)
+                np.bitwise_or(r, s, out=r)
+                np.less_equal(r, self._multiple_bound, out=eq)
+                counts[c0:c1] += np.add.reduce(
+                    eq.view(np.uint8), axis=1, dtype=np.uint16
+                )
                 t2 = _thread_clock()
                 hash_s += t1 - t0
                 acc_s += t2 - t1
@@ -791,6 +836,9 @@ class FusedSupportKernel:
 #: footprint (≤ 64 planes × seg/64 words ≈ 8 MB at the default) without
 #: changing a single output bit.
 _HAD_SEGMENT_REPORTS = 1 << 20
+#: Words per candidate tile of the XOR/popcount contraction (two uint64
+#: planes of this size per thread).
+_HAD_TILE_CELLS = 1 << 19
 
 
 class HadamardCandidatePlan:
@@ -925,9 +973,11 @@ def _bitsliced_segment(
     planes = pack_bit_planes(idx, [plan.bit_positions[k] for k in used])
     t1 = _thread_clock()
     words = planes.shape[1]
-    tile_c = max(1, min(d, _TILE_CELLS // words))
-    parity = _scratch_uint64("block", tile_c * words).reshape(tile_c, words)
-    counted = _scratch_uint64("quotient", tile_c * words).reshape(
+    tile_c = max(1, min(d, _HAD_TILE_CELLS // words))
+    parity = _scratch("parity", np.uint64, tile_c * words).reshape(
+        tile_c, words
+    )
+    counted = _scratch("counted", np.uint64, tile_c * words).reshape(
         tile_c, words
     )
     tiles = 0

@@ -149,15 +149,17 @@ def _hashed_reports(seeds, values):
 
 
 class TestLocalHashingIdentity:
-    @pytest.mark.parametrize("oracle_cls,d", [
-        (OptimalLocalHashing, 64),
-        (OptimalLocalHashing, 2),
-        (BinaryLocalHashing, 64),  # the g = 2 extreme
+    @pytest.mark.parametrize("oracle_cls,d,epsilon", [
+        (OptimalLocalHashing, 64, 1.7),  # g = 6
+        (OptimalLocalHashing, 2, 1.7),
+        (OptimalLocalHashing, 64, 0.5),  # g = 3, odd
+        (OptimalLocalHashing, 64, 4.0),  # g = 56, even, not a power of 2
+        (BinaryLocalHashing, 64, 1.7),  # the g = 2 extreme
     ])
     @given(seed=st.integers(0, 2**32))
     @settings(max_examples=10, deadline=None)
-    def test_support_counts_match_reference(self, oracle_cls, d, seed):
-        oracle = oracle_cls(d, 1.7)
+    def test_support_counts_match_reference(self, oracle_cls, d, epsilon, seed):
+        oracle = oracle_cls(d, epsilon)
         rng = np.random.default_rng(seed)
         values = rng.integers(0, d, size=300)
         reports = oracle.privatize(values, rng=rng)

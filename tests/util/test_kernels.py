@@ -1,5 +1,7 @@
 """Unit tests for the fused decode-kernel layer (repro.util.kernels)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -126,8 +128,14 @@ def _brute_support_counts(a, b, y, premixed, g):
     return ((h % np.uint64(g)) == y[:, None]).sum(axis=0).astype(np.float64)
 
 
+def _fold(h):
+    """The kernel's single Mersenne fold of ``h``, in Python integers."""
+    return (h & P) + (h >> 31)
+
+
 class TestFusedSupportKernel:
-    @pytest.mark.parametrize("g", [2, 8, 17])
+    # odd, power-of-two, even non-power-of-two, and the largest range
+    @pytest.mark.parametrize("g", [2, 3, 6, 8, 17, 56, 2**31 - 1])
     @pytest.mark.parametrize("d", [1, 3, 64])
     def test_matches_brute_force(self, g, d):
         rng = np.random.default_rng(d * 100 + g)
@@ -142,17 +150,42 @@ class TestFusedSupportKernel:
         assert np.array_equal(out, _brute_support_counts(a, b, y, premixed, g))
 
     def test_edge_parameters(self):
-        # a at field max, b at 0/max, premixed at 0 and p−1: the affine
-        # image hits both fold boundaries.
-        a = np.array([1, P - 1, P - 1, 1], dtype=np.uint64)
-        b = np.array([0, P - 1, 0, P - 1], dtype=np.uint64)
-        y = np.array([0, 1, 1, 0], dtype=np.uint64)
+        # a at field max, b at 0/max, premixed at 0 and p−1.  With
+        # a = x = p − 1 the affine image (p − 1)² + b folds to p + 1
+        # (b = 0), p − 1 (b = p − 2), exactly p (b = p − 1: the largest
+        # image, h = p(p − 1)) and 2p − 3 (b = p − 4: the largest fold a
+        # valid input reaches; 2p − 2 would need h > p(p − 1)).
+        assert [_fold((P - 1) ** 2 + v) for v in (0, P - 2, P - 1, P - 4)] == [
+            P + 1,
+            P - 1,
+            P,
+            2 * P - 3,
+        ]
+        a = np.array([1, P - 1, P - 1, 1, P - 1, P - 1], dtype=np.uint64)
+        b = np.array([0, P - 1, 0, P - 1, P - 2, P - 4], dtype=np.uint64)
         premixed = np.array([0, P - 1, 1], dtype=np.uint64)
-        kernel = FusedSupportKernel(premixed, 2)
-        assert np.array_equal(
-            kernel.support_counts(a, b, y),
-            _brute_support_counts(a, b, y, premixed, 2),
-        )
+        for g in (2, 3, 8, 56):
+            y = np.arange(a.shape[0], dtype=np.uint64) % np.uint64(g)
+            kernel = FusedSupportKernel(premixed, g)
+            assert np.array_equal(
+                kernel.support_counts(a, b, y),
+                _brute_support_counts(a, b, y, premixed, g),
+            )
+
+    def test_rejects_inputs_outside_the_exact_domain(self):
+        """y ≥ g or a/b ≥ p could count false matches: refused instead."""
+        kernel = FusedSupportKernel(np.arange(4, dtype=np.uint64), 8)
+        ok = np.array([1, 2], dtype=np.uint64)
+        for a, b, y in (
+            (ok, ok, np.array([0, 8])),  # y = g
+            (ok, ok, np.array([-1, 0])),  # negative y wraps above g
+            (np.array([1, P], dtype=np.uint64), ok, ok),  # a = p
+            (ok, np.array([P, 0], dtype=np.uint64), ok),  # b = p
+        ):
+            with pytest.raises(ValueError):
+                kernel.support_counts(a, b, y)
+        with pytest.raises(ValueError):
+            FusedSupportKernel(np.array([0, P], dtype=np.uint64), 8)
 
     def test_empty_reports(self):
         kernel = FusedSupportKernel(np.arange(5, dtype=np.uint64), 4)
@@ -466,3 +499,19 @@ def test_kernel_thread_count_env_override(monkeypatch):
     assert kernel_thread_count() >= 1
     monkeypatch.delenv("REPRO_KERNEL_THREADS")
     assert kernel_thread_count() >= 1
+
+
+def test_kernel_thread_count_defaults_to_usable_cpus(monkeypatch):
+    """A process pinned to 2 of 8 CPUs starts 2 workers, not 8."""
+    monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert kernel_thread_count() == 2
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+    assert kernel_thread_count() == 3
+    monkeypatch.delenv("REPRO_KERNEL_THREADS")
+    # platforms without sched_getaffinity fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert kernel_thread_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert kernel_thread_count() == 1
