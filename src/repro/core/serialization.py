@@ -1,4 +1,4 @@
-"""Versioned accumulator wire format for cross-process / cross-machine merges.
+"""Versioned wire codec for cross-process / cross-machine merges.
 
 The deployed systems the paper surveys aggregate across *machines*: a
 shard collector folds its report stream into an accumulator, ships the
@@ -7,15 +7,26 @@ build.  That requires a wire format — not Python pickles, whose layout
 is an implementation detail of whatever classes happen to be importable
 on the other side.
 
-The format here is deliberately tiny and self-describing::
+Everything that crosses a process boundary — accumulator payloads, the
+collection service's messages (:mod:`repro.protocol.transport`) and
+combiner checkpoints — is one deliberately tiny, self-describing
+**message**::
 
-    magic   b"LDPA"                     (4 bytes)
-    version u8                          (currently 1)
     hlen    u32 little-endian           (JSON header length)
-    header  UTF-8 JSON                  (kind, config, n, array manifest)
+    header  UTF-8 JSON                  (caller's fields + array manifest)
     body    raw little-endian C-order array bytes, in manifest order
 
-The header carries three things:
+The header is compact, key-sorted JSON whose ``arrays`` field is a
+manifest of ``(name, dtype, shape)`` for each array, so the body needs
+no framing of its own.  ``±Infinity`` literals are allowed (event-time
+frontiers carry them); both ends of the wire are this codec.  The
+formats that need an identity are a magic + version prefix over one
+message::
+
+    accumulator payload   b"LDPA" + u8 version  + message{kind, config, n}
+    combiner checkpoint   b"LDPC" + u16 version + message{...}
+
+The accumulator header carries three things:
 
 * ``kind`` — the accumulator class name, so a payload can never be
   hydrated into the wrong algebra;
@@ -25,19 +36,27 @@ The header carries three things:
   accumulator's: merging tallies collected under different
   configurations would silently corrupt estimates, which is exactly the
   failure mode a fingerprint exists to make loud;
-* ``n`` plus a manifest of ``(name, dtype, shape)`` for each state
-  array, so the body needs no framing of its own.
+* ``n`` — the number of reports the state arrays summarize.
 
 Floats in the fingerprint survive the JSON round-trip exactly (Python
 serializes float64 with ``repr``-faithful precision), so fingerprint
 comparison is bit-exact, not approximate.
+
+:func:`decode_message` is the one parser of these bytes, and anything
+malformed — truncation, trailing bytes, an unreadable header, or a
+manifest with a non-list ``arrays``, an entry that is not an object
+with a string name, an unreadable or object dtype, or a negative
+dimension — raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import struct
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -54,6 +73,8 @@ __all__ = [
     "frame_payload_size",
     "write_frame",
     "read_frame",
+    "encode_message",
+    "decode_message",
     "pack_accumulator_state",
     "unpack_accumulator_state",
 ]
@@ -61,7 +82,9 @@ __all__ = [
 MAGIC = b"LDPA"
 WIRE_VERSION = 1
 
-_HEADER_STRUCT = struct.Struct("<4sBI")  # magic, version, header length
+_PREFIX_STRUCT = struct.Struct("<4sB")  # accumulator magic, version
+_MESSAGE_HEADER = struct.Struct("<I")  # JSON header length
+_TYPESTR = re.compile(r"[<>|=]?[A-Za-z]\d*(?:\[\w+\])?")  # e.g. <i8, <M8[ns]
 
 
 @dataclass(frozen=True)
@@ -81,8 +104,7 @@ class AccumulatorPayload:
 # envelopes, shipped accumulators, acks — as one *frame*: a u32
 # little-endian payload length followed by exactly that many payload
 # bytes.  Framing is deliberately separate from payload encoding (the
-# accumulator wire format above, the message codec in
-# ``repro.protocol.transport``): the daemons share this one reader/writer
+# message codec below): the daemons share this one reader/writer
 # instead of sprinkling ad-hoc ``struct`` calls around their socket
 # loops, and the two failure modes a framed stream has are explicit
 # exceptions rather than silent short reads:
@@ -218,6 +240,9 @@ def _read_exactly(stream, size: int, *, allow_clean_eof: bool) -> bytes | None:
     return b"".join(chunks) if chunks else b""
 
 
+# -- messages and accumulator payloads ---------------------------------------
+
+
 def _wire_dtype(dtype: np.dtype) -> np.dtype:
     """The little-endian equivalent of a dtype (bytes on the wire)."""
     if dtype.byteorder == ">":
@@ -225,34 +250,116 @@ def _wire_dtype(dtype: np.dtype) -> np.dtype:
     return dtype
 
 
-def pack_accumulator_state(
-    kind: str, config: dict, n: int, arrays: dict[str, np.ndarray]
+def encode_message(
+    header: dict, arrays: dict[str, np.ndarray] | None = None
 ) -> bytes:
-    """Serialize one accumulator's state into the versioned wire format."""
+    """Serialize one message: JSON header + manifest-ordered array bytes."""
     manifest = []
     chunks = []
-    for name, arr in arrays.items():
+    for name, arr in (arrays or {}).items():
         a = np.ascontiguousarray(arr)
         a = a.astype(_wire_dtype(a.dtype), copy=False)
         manifest.append(
             {"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
         )
         chunks.append(a.tobytes())
-    header = json.dumps(
-        {"kind": kind, "config": config, "n": int(n), "arrays": manifest},
-        separators=(",", ":"),
-        sort_keys=True,
+    head = json.dumps(
+        dict(header, arrays=manifest), separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
+    return b"".join([_MESSAGE_HEADER.pack(len(head)), head, *chunks])
+
+
+def _manifest_entry(entry: Any) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """Validate one ``(name, dtype, shape)`` manifest entry.
+
+    Error messages clip the offending value: it is untrusted input and
+    may be as large as a frame.
+    """
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ValueError("manifest entry is not an object with a string name")
+    name = entry["name"]
+    spec = entry.get("dtype")
+    # Only the array-protocol type strings the encoder writes: numpy
+    # parses comma and subarray forms with ``ast.literal_eval``.  Object
+    # dtypes pass here; ``np.frombuffer`` refuses them with ValueError.
+    if not isinstance(spec, str) or not _TYPESTR.fullmatch(spec):
+        raise ValueError(f"array {name!r:.40} has an unreadable dtype {spec!r:.40}")
+    try:
+        dtype = np.dtype(spec)
+    except TypeError as exc:
+        raise ValueError(
+            f"array {name!r:.40} has an unreadable dtype {spec!r:.40}"
+        ) from exc
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise ValueError(
+            f"array {name!r:.40} shape {shape!r:.40} is not a list of "
+            "dimensions >= 0"
+        )
+    return name, dtype, tuple(shape)
+
+
+def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Decode one message payload into (header, named arrays).
+
+    ``payload`` may be any bytes-like object.  Raises ``ValueError`` on
+    anything malformed — a daemon treats that as a protocol error on
+    the connection, never a crash.
+    """
+    if len(payload) < _MESSAGE_HEADER.size:
+        raise ValueError("message payload too short for a header")
+    (hlen,) = _MESSAGE_HEADER.unpack_from(payload)
+    offset = _MESSAGE_HEADER.size
+    if offset + hlen > len(payload):
+        raise ValueError("message header extends past the payload")
+    try:
+        header = json.loads(str(payload[offset : offset + hlen], "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError("corrupt message header") from exc
+    if not isinstance(header, dict) or "arrays" not in header:
+        raise ValueError("message header is missing required fields")
+    manifest = header.pop("arrays")
+    if not isinstance(manifest, list):
+        raise ValueError(
+            f"message manifest is a {type(manifest).__name__}, not a list"
+        )
+    offset += hlen
+    arrays: dict[str, np.ndarray] = {}
+    for entry in manifest:
+        name, dtype, shape = _manifest_entry(entry)
+        count = math.prod(shape)
+        nbytes = dtype.itemsize * count
+        if offset + nbytes > len(payload):
+            raise ValueError("truncated message body")
+        arr = np.frombuffer(
+            payload, dtype=dtype, count=count, offset=offset
+        ).reshape(shape)
+        arrays[name] = arr.copy()  # own, writable memory
+        offset += nbytes
+    if offset != len(payload):
+        raise ValueError("trailing bytes after message body")
+    return header, arrays
+
+
+def pack_accumulator_state(
+    kind: str, config: dict, n: int, arrays: dict[str, np.ndarray]
+) -> bytes:
+    """Serialize one accumulator's state into the versioned wire format."""
     return b"".join(
-        [_HEADER_STRUCT.pack(MAGIC, WIRE_VERSION, len(header)), header, *chunks]
+        [
+            _PREFIX_STRUCT.pack(MAGIC, WIRE_VERSION),
+            encode_message({"kind": kind, "config": config, "n": int(n)}, arrays),
+        ]
     )
 
 
 def unpack_accumulator_state(payload: bytes) -> AccumulatorPayload:
     """Decode a wire payload; raises ``ValueError`` on anything malformed."""
-    if len(payload) < _HEADER_STRUCT.size:
+    if len(payload) < _PREFIX_STRUCT.size:
         raise ValueError("payload too short to be an accumulator wire format")
-    magic, version, hlen = _HEADER_STRUCT.unpack_from(payload)
+    magic, version = _PREFIX_STRUCT.unpack_from(payload)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}; not an accumulator payload")
     if version != WIRE_VERSION:
@@ -260,35 +367,16 @@ def unpack_accumulator_state(payload: bytes) -> AccumulatorPayload:
             f"unsupported accumulator wire version {version} "
             f"(this build reads version {WIRE_VERSION})"
         )
-    offset = _HEADER_STRUCT.size
-    try:
-        header = json.loads(payload[offset : offset + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError("corrupt accumulator payload header") from exc
-    offset += hlen
-    if not isinstance(header, dict) or not {"kind", "config", "n", "arrays"} <= set(
-        header
-    ):
+    header, arrays = decode_message(memoryview(payload)[_PREFIX_STRUCT.size :])
+    if not {"kind", "config", "n"} <= set(header):
         # Valid JSON is not enough: a version-skewed or hand-built header
         # must still reject as malformed, not escape as a KeyError.
         raise ValueError("accumulator payload header is missing required fields")
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if offset + nbytes > len(payload):
-            raise ValueError("truncated accumulator payload body")
-        arr = np.frombuffer(payload, dtype=dtype, count=max(
-            nbytes // dtype.itemsize, 0
-        ), offset=offset).reshape(shape)
-        arrays[entry["name"]] = arr.copy()  # own, writable memory
-        offset += nbytes
-    if offset != len(payload):
-        raise ValueError("trailing bytes after accumulator payload body")
+    if type(header["n"]) is not int:
+        raise ValueError(f"accumulator payload n {header['n']!r:.40} is not an integer")
     return AccumulatorPayload(
         kind=str(header["kind"]),
         config=header["config"],
-        n=int(header["n"]),
+        n=header["n"],
         arrays=arrays,
     )

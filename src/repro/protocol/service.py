@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core.budget import PrivacyLedger
 from repro.core.mechanism import FrequencyOracle
-from repro.core.serialization import MAX_FRAME_BYTES, TruncatedFrameError
+from repro.core.serialization import TruncatedFrameError
 from repro.core.timed import (
     TimedReports,
     batch_length,
@@ -360,18 +360,6 @@ class ShardFolder:
             ),
             flags,
         )
-
-    def stats_header(self) -> dict:
-        """The worker-side counters a drain message carries."""
-        return {
-            "envelopes": self.envelopes,
-            "duplicates": self.duplicates,
-            "reports": self.reports,
-            "batches": self.batches,
-            "route_seconds": self.route_seconds,
-            "absorb_seconds": self.absorb_seconds,
-            "frontier": self._frontier,
-        }
 
 
 @dataclass(frozen=True)
@@ -910,20 +898,7 @@ class CombinerCore:
                 )
             )
         for w, fields in header["worker_stats"]:
-            frontier = fields.get("frontier")
-            core._worker_stats[int(w)] = WorkerServiceStats(
-                worker_id=int(w),
-                envelopes=int(fields["envelopes"]),
-                duplicate_envelopes=int(fields["duplicate_envelopes"]),
-                reports=int(fields["reports"]),
-                ships=int(fields["ships"]),
-                reships=int(fields["reships"]),
-                shipped_bytes=int(fields["shipped_bytes"]),
-                frontier=None if frontier is None else float(frontier),
-                fold_batches=int(fields.get("fold_batches", 0)),
-                route_seconds=float(fields.get("route_seconds", 0.0)),
-                absorb_seconds=float(fields.get("absorb_seconds", 0.0)),
-            )
+            core._worker_stats[int(w)] = WorkerServiceStats(**fields)
         counters = header["counters"]
         core.absorbed = int(counters["absorbed"])
         core.late = int(counters["late"])
@@ -1090,19 +1065,23 @@ class CombinerDaemon:
 
     Accepts any number of worker connections; each connection speaks
     ``register`` / ``ship`` / ``heartbeat`` / ``drain`` and gets a
-    ``ship_ack`` / ``drain_ack`` per acked message.  A connection dying
-    mid-frame is normal operation (a crashed worker): the core's state
-    is untouched and the worker's resends arrive on a fresh connection.
+    ``ship_ack`` / ``drain_ack`` per acked message.  A ``drain`` carries
+    the worker's :class:`WorkerServiceStats` as one record (``stats``).
+    Every frame is held to the framing layer's
+    :data:`~repro.core.serialization.MAX_FRAME_BYTES`, the one cap both
+    ends of a link share.  A connection dying mid-frame is normal
+    operation (a crashed worker): the core's state is untouched and the
+    worker's resends arrive on a fresh connection.
 
     **Checkpointing**: with ``checkpoint_path`` set, the daemon
     snapshots :meth:`CombinerCore.to_checkpoint` to that file — written
     atomically (tmp + fsync + rename) so a crash mid-write leaves the
-    previous checkpoint intact — every ``checkpoint_every_ships`` ships
-    and/or ``checkpoint_every_seconds`` seconds, always immediately
-    before a ``drain_ack`` (a drained worker's data must never be lost),
-    and a daemon constructed over an existing checkpoint file restores
-    and resumes.  Each ``ship_ack`` carries ``durable``: whether the
-    acked ship is covered by a checkpoint already on disk.  Workers keep
+    previous checkpoint intact — every ``checkpoint_every_ships`` ships,
+    immediately before every ``drain_ack`` (a drained worker's data must
+    never be lost) and after every lease eviction, and a daemon
+    constructed over an existing checkpoint file restores and resumes.
+    Each ``ship_ack`` carries ``durable``: whether the acked ship is
+    covered by a checkpoint already on disk.  Workers keep
     acked-but-not-durable ships in an at-risk buffer and reship them on
     reconnect, which is exactly what makes a crash bit-invisible at any
     cadence: the restored core re-receives everything a checkpoint
@@ -1117,19 +1096,12 @@ class CombinerDaemon:
         window: WindowSpec | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         checkpoint_path: str | None = None,
         checkpoint_every_ships: int = 8,
-        checkpoint_every_seconds: float | None = None,
         lease_timeout: float | None = None,
         crash_at_ship: int | None = None,
     ) -> None:
         check_positive_int(checkpoint_every_ships, name="checkpoint_every_ships")
-        if checkpoint_every_seconds is not None and checkpoint_every_seconds <= 0:
-            raise ValueError(
-                "checkpoint_every_seconds must be > 0, got "
-                f"{checkpoint_every_seconds!r}"
-            )
         if crash_at_ship is not None:
             check_positive_int(crash_at_ship, name="crash_at_ship")
         now = time.monotonic()
@@ -1159,15 +1131,12 @@ class CombinerDaemon:
             self.restored = False
         self._host = host
         self._port = port
-        self._max_frame_bytes = max_frame_bytes
         self._checkpoint_path = checkpoint_path
         self._checkpoint_every_ships = int(checkpoint_every_ships)
-        self._checkpoint_every_seconds = checkpoint_every_seconds
         self._lease_timeout = lease_timeout
         self._crash_at_ship = crash_at_ship
         self._ships_this_run = 0
         self._ships_since_checkpoint = 0
-        self._last_checkpoint_time = now
         # The restored state is already durable: acks may say so even
         # before this incarnation writes its first checkpoint.
         self._durable_seq = self.core.ships_received if self.restored else 0
@@ -1214,7 +1183,6 @@ class CombinerDaemon:
         os.replace(tmp, self._checkpoint_path)
         self._durable_seq = self.core.ships_received
         self._ships_since_checkpoint = 0
-        self._last_checkpoint_time = time.monotonic()
         self.checkpoints += 1
         self.checkpoint_bytes += len(blob)
 
@@ -1222,13 +1190,6 @@ class CombinerDaemon:
         if self._checkpoint_path is None:
             return
         if force or self._ships_since_checkpoint >= self._checkpoint_every_ships:
-            self._write_checkpoint()
-            return
-        if (
-            self._checkpoint_every_seconds is not None
-            and time.monotonic() - self._last_checkpoint_time
-            >= self._checkpoint_every_seconds
-        ):
             self._write_checkpoint()
 
     def _durable(self) -> bool:
@@ -1276,9 +1237,7 @@ class CombinerDaemon:
         self._tracker.enter(writer)
         try:
             while True:
-                message = await read_message(
-                    reader, max_frame_bytes=self._max_frame_bytes
-                )
+                message = await read_message(reader)
                 if message is None:
                     break
                 if self._crashed.is_set():
@@ -1309,7 +1268,6 @@ class CombinerDaemon:
                             "envelope": ship.envelope_id,
                             "durable": self._durable(),
                         },
-                        max_frame_bytes=self._max_frame_bytes,
                     )
                     await writer.drain()
                 elif kind == "heartbeat":
@@ -1319,32 +1277,14 @@ class CombinerDaemon:
                         None if frontier is None else float(frontier),
                         now=now,
                     )
-                    self._maybe_checkpoint()
                 elif kind == "drain":
                     worker_id = int(header["worker"])
-                    frontier = header.get("frontier")
-                    stats = WorkerServiceStats(
-                        worker_id=worker_id,
-                        envelopes=int(header.get("envelopes", 0)),
-                        duplicate_envelopes=int(header.get("duplicates", 0)),
-                        reports=int(header.get("reports", 0)),
-                        ships=int(header.get("ships", 0)),
-                        reships=int(header.get("reships", 0)),
-                        shipped_bytes=int(header.get("shipped_bytes", 0)),
-                        frontier=None if frontier is None else float(frontier),
-                        fold_batches=int(header.get("batches", 0)),
-                        route_seconds=float(header.get("route_seconds", 0.0)),
-                        absorb_seconds=float(header.get("absorb_seconds", 0.0)),
-                    )
+                    stats = WorkerServiceStats(**header["stats"])
                     self.core.drain(worker_id, stats, now=now)
                     # A drain_ack releases the worker's client-side state
                     # for good, so the drained data must be on disk first.
                     self._maybe_checkpoint(force=True)
-                    write_message(
-                        writer,
-                        {"type": "drain_ack", "worker": worker_id},
-                        max_frame_bytes=self._max_frame_bytes,
-                    )
+                    write_message(writer, {"type": "drain_ack", "worker": worker_id})
                     await writer.drain()
                     if self.core.all_drained:
                         self._done.set()
@@ -1429,7 +1369,6 @@ class IngestDaemon:
         port: int = 0,
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         expected_clients: int = 1,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         retry: RetryPolicy = RetryPolicy(),
         micro_batch: int = 0,
         heartbeat_interval: float | None = None,
@@ -1450,7 +1389,6 @@ class IngestDaemon:
         self._credit_window = int(credit_window)
         self._micro_batch = int(micro_batch)
         self._expected_clients = int(expected_clients)
-        self._max_frame_bytes = max_frame_bytes
         self._retry = retry
         self._heartbeat_interval = heartbeat_interval
         self._server: asyncio.AbstractServer | None = None
@@ -1594,9 +1532,7 @@ class IngestDaemon:
                         *self._combiner_address
                     )
                     write_message(
-                        writer,
-                        {"type": "register", "worker": self.worker_id},
-                        max_frame_bytes=self._max_frame_bytes,
+                        writer, {"type": "register", "worker": self.worker_id}
                     )
                     # At-risk first (they are older), then unacked: the
                     # combiner re-receives in original ship order and
@@ -1604,30 +1540,16 @@ class IngestDaemon:
                     # the checkpoint it restored from.
                     for ship in list(self._at_risk.values()):
                         header, arrays = _ship_to_message(ship)
-                        write_message(
-                            writer,
-                            header,
-                            arrays,
-                            max_frame_bytes=self._max_frame_bytes,
-                        )
+                        write_message(writer, header, arrays)
                         self.reships += 1
                     for ship in list(self._unacked.values()):
                         header, arrays = _ship_to_message(ship)
-                        write_message(
-                            writer,
-                            header,
-                            arrays,
-                            max_frame_bytes=self._max_frame_bytes,
-                        )
+                        write_message(writer, header, arrays)
                         self.reships += 1
                     if self._drain_sent and not (
                         self._drain_future is None or self._drain_future.done()
                     ):
-                        write_message(
-                            writer,
-                            self._drain_header(),
-                            max_frame_bytes=self._max_frame_bytes,
-                        )
+                        write_message(writer, self._drain_header())
                     await writer.drain()
                 except _CONNECTION_ERRORS as exc:
                     last_error = exc
@@ -1658,9 +1580,7 @@ class IngestDaemon:
         """Dispatch upstream acks; on link loss, recover if work is owed."""
         try:
             while True:
-                message = await read_message(
-                    reader, max_frame_bytes=self._max_frame_bytes
-                )
+                message = await read_message(reader)
                 if message is None:
                     break
                 header, _ = message
@@ -1713,10 +1633,7 @@ class IngestDaemon:
                     await self._ensure_connected()
                     header, arrays = _ship_to_message(ship)
                     self.shipped_bytes += write_message(
-                        self._writer,
-                        header,
-                        arrays,
-                        max_frame_bytes=self._max_frame_bytes,
+                        self._writer, header, arrays
                     )
                     await self._writer.drain()
                     self.ships += 1
@@ -1772,22 +1689,27 @@ class IngestDaemon:
                         "worker": self.worker_id,
                         "frontier": self.folder.frontier,
                     },
-                    max_frame_bytes=self._max_frame_bytes,
                 )
                 await writer.drain()
             except _CONNECTION_ERRORS:
                 pass  # the reader task notices and recovers the link
 
     def _drain_header(self) -> dict:
-        header = dict(self.folder.stats_header())
-        header.update(
-            type="drain",
-            worker=self.worker_id,
+        folder = self.folder
+        stats = WorkerServiceStats(
+            worker_id=self.worker_id,
+            envelopes=folder.envelopes,
+            duplicate_envelopes=folder.duplicates,
+            reports=folder.reports,
             ships=self.ships,
             reships=self.reships,
             shipped_bytes=self.shipped_bytes,
+            frontier=folder.frontier,
+            fold_batches=folder.batches,
+            route_seconds=folder.route_seconds,
+            absorb_seconds=folder.absorb_seconds,
         )
-        return header
+        return {"type": "drain", "worker": self.worker_id, "stats": asdict(stats)}
 
     async def _drain(self) -> None:
         loop = asyncio.get_running_loop()
@@ -1795,11 +1717,7 @@ class IngestDaemon:
         self._drain_sent = True
         async with self._ship_lock:
             await self._ensure_connected()
-            write_message(
-                self._writer,
-                self._drain_header(),
-                max_frame_bytes=self._max_frame_bytes,
-            )
+            write_message(self._writer, self._drain_header())
             await self._writer.drain()
         await self._drain_future
         self._done.set()
@@ -1828,21 +1746,16 @@ class IngestDaemon:
                 write_message(
                     writer,
                     {"type": "ack", "envelope": envelope_id, "duplicate": dup},
-                    max_frame_bytes=self._max_frame_bytes,
                 )
             await writer.drain()
 
         try:
             write_message(
-                writer,
-                {"type": "hello", "credits": self._credit_window},
-                max_frame_bytes=self._max_frame_bytes,
+                writer, {"type": "hello", "credits": self._credit_window}
             )
             await writer.drain()
             while True:
-                pending_read = asyncio.ensure_future(
-                    read_message(reader, max_frame_bytes=self._max_frame_bytes)
-                )
+                pending_read = asyncio.ensure_future(read_message(reader))
                 if batch and not pending_read.done():
                     # Give an already-buffered frame one loop cycle to
                     # complete; only a genuinely idle link (the client is
@@ -1861,36 +1774,15 @@ class IngestDaemon:
                 if kind == "reports":
                     envelope_id = str(header["envelope"])
                     payload = unpack_timed_reports(header, arrays)
-                    if self._micro_batch:
-                        batch.append((envelope_id, payload))
-                        batch_rows += (
-                            len(payload)
-                            if isinstance(payload, TimedReports)
-                            else batch_length(payload)
-                        )
-                        if batch_rows >= self._micro_batch:
-                            await flush_batch()
-                        continue
-                    ship = self.folder.offer(envelope_id, payload)
-                    if ship is not None:
-                        await self._ship(ship)
-                    write_message(
-                        writer,
-                        {
-                            "type": "ack",
-                            "envelope": envelope_id,
-                            "duplicate": ship is None,
-                        },
-                        max_frame_bytes=self._max_frame_bytes,
-                    )
-                    await writer.drain()
+                    batch.append((envelope_id, payload))
+                    batch_rows += _payload_rows(payload)
+                    # Unbatched (micro_batch=0) is a row budget of 0:
+                    # every envelope folds, ships and acks on arrival.
+                    if batch_rows >= self._micro_batch:
+                        await flush_batch()
                 elif kind == "eof":
                     await flush_batch()
-                    write_message(
-                        writer,
-                        {"type": "eof_ack"},
-                        max_frame_bytes=self._max_frame_bytes,
-                    )
+                    write_message(writer, {"type": "eof_ack"})
                     await writer.drain()
                     self._clients_done += 1
                     if self._clients_done >= self._expected_clients:
@@ -1933,7 +1825,6 @@ async def feed_envelopes(
     fault_mode: str = "restart",
     retry: RetryPolicy = RetryPolicy(),
     retry_key: object = None,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
 ) -> dict:
     """Send report envelopes to one ingest worker, at-least-once.
 
@@ -1998,7 +1889,7 @@ async def feed_envelopes(
     async def connect():
         nonlocal reader, writer, credits, hole
         reader, writer = await asyncio.open_connection(*resolve())
-        hello = await read_message(reader, max_frame_bytes=max_frame_bytes)
+        hello = await read_message(reader)
         if hello is None or hello[0].get("type") != "hello":
             raise ConnectionResetError("worker did not say hello")
         credits = int(hello[0].get("credits", 1))
@@ -2006,12 +1897,9 @@ async def feed_envelopes(
 
     async def read_ack():
         if ack_timeout is None:
-            return await read_message(reader, max_frame_bytes=max_frame_bytes)
+            return await read_message(reader)
         try:
-            return await asyncio.wait_for(
-                read_message(reader, max_frame_bytes=max_frame_bytes),
-                ack_timeout,
-            )
+            return await asyncio.wait_for(read_message(reader), ack_timeout)
         except asyncio.TimeoutError as exc:
             # A stalled window is indistinguishable from (and here,
             # deliberately caused by) a lost frame: treat as link death.
@@ -2077,9 +1965,7 @@ async def feed_envelopes(
                         await asyncio.sleep(frame_filter.delay_seconds)
                     header, arrays = pack_timed_reports(item[1])
                     header.update(type="reports", envelope=envelope_id)
-                    write_message(
-                        writer, header, arrays, max_frame_bytes=max_frame_bytes
-                    )
+                    write_message(writer, header, arrays)
                     inflight.append(item)
                     sent += 1
                     first_sends += 1
@@ -2137,13 +2023,9 @@ async def feed_envelopes(
             try:
                 if writer is None or writer.is_closing():
                     await connect()
-                write_message(
-                    writer, {"type": "eof"}, max_frame_bytes=max_frame_bytes
-                )
+                write_message(writer, {"type": "eof"})
                 await writer.drain()
-                message = await read_message(
-                    reader, max_frame_bytes=max_frame_bytes
-                )
+                message = await read_message(reader)
                 if message is None or message[0].get("type") != "eof_ack":
                     raise ConnectionResetError("no eof ack")
                 break
@@ -2206,7 +2088,6 @@ def _ingest_process_main(
     combiner_address: tuple[str, int],
     window: WindowSpec | None,
     credit_window: int,
-    max_frame_bytes: int,
     micro_batch: int = 0,
     heartbeat_interval: float | None = None,
 ) -> None:
@@ -2223,7 +2104,6 @@ def _ingest_process_main(
             combiner_address,
             window=window,
             credit_window=credit_window,
-            max_frame_bytes=max_frame_bytes,
             micro_batch=micro_batch,
             heartbeat_interval=heartbeat_interval,
         )
@@ -2313,20 +2193,16 @@ class _CombinerSupervisor:
         num_workers: int,
         *,
         window: WindowSpec | None,
-        max_frame_bytes: int,
         checkpoint_path: str | None,
         checkpoint_every_ships: int,
-        checkpoint_every_seconds: float | None,
         lease_timeout: float | None,
         crash_at_ships: tuple[int, ...],
     ) -> None:
         self._oracle = oracle
         self._num_workers = num_workers
         self._window = window
-        self._max_frame_bytes = max_frame_bytes
         self._checkpoint_path = checkpoint_path
         self._checkpoint_every_ships = checkpoint_every_ships
-        self._checkpoint_every_seconds = checkpoint_every_seconds
         self._lease_timeout = lease_timeout
         self._crash_at_ships = tuple(crash_at_ships)
         self._generation = 0
@@ -2351,10 +2227,8 @@ class _CombinerSupervisor:
             self._num_workers,
             window=self._window,
             port=port,
-            max_frame_bytes=self._max_frame_bytes,
             checkpoint_path=self._checkpoint_path,
             checkpoint_every_ships=self._checkpoint_every_ships,
-            checkpoint_every_seconds=self._checkpoint_every_seconds,
             lease_timeout=self._lease_timeout,
             crash_at_ship=crash_at,
         )
@@ -2467,8 +2341,6 @@ async def _run_service(
     heartbeat_interval: float | None,
     checkpoint_path: str | None,
     checkpoint_every_ships: int,
-    checkpoint_every_seconds: float | None,
-    max_frame_bytes: int,
     timeout: float,
 ) -> tuple["ServiceResult", float]:
     num_workers = len(worker_envelopes)
@@ -2479,10 +2351,8 @@ async def _run_service(
         oracle,
         num_workers,
         window=window,
-        max_frame_bytes=max_frame_bytes,
         checkpoint_path=checkpoint_path,
         checkpoint_every_ships=checkpoint_every_ships,
-        checkpoint_every_seconds=checkpoint_every_seconds,
         lease_timeout=lease_timeout,
         crash_at_ships=faults.crash_combiner_at_ships if faults else (),
     )
@@ -2500,7 +2370,6 @@ async def _run_service(
                     combiner.address,
                     window=window,
                     credit_window=credit_window,
-                    max_frame_bytes=max_frame_bytes,
                     micro_batch=micro_batch,
                     heartbeat_interval=heartbeat_interval,
                 )
@@ -2521,7 +2390,6 @@ async def _run_service(
                         combiner.address,
                         window,
                         credit_window,
-                        max_frame_bytes,
                         micro_batch,
                         heartbeat_interval,
                     ),
@@ -2576,7 +2444,6 @@ async def _run_service(
                     fault_mode=fault_mode,
                     retry=client_retry,
                     retry_key=worker_id,
-                    max_frame_bytes=max_frame_bytes,
                 )
             )
         feed_stats = await asyncio.wait_for(asyncio.gather(*feeders), timeout)
@@ -2624,8 +2491,6 @@ def run_distributed_collection(
     heartbeat_interval: float | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every_ships: int = 8,
-    checkpoint_every_seconds: float | None = None,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
     timeout: float = 300.0,
 ) -> ServiceResult:
     """Collect a population through the socket-level distributed service.
@@ -2663,7 +2528,8 @@ def run_distributed_collection(
         section per member envelope and the combiner dedups member by
         member — so at-least-once semantics are unchanged even when a
         worker restart regroups redelivered envelopes into different
-        batches.
+        batches.  Unset, the same buffer has a row budget of 0: every
+        envelope folds, ships and acks on arrival.
     faults:
         A :class:`~repro.protocol.chaos.FaultPlan` to inject during the
         run — frame drops/duplicates/delays, scheduled worker
@@ -2694,18 +2560,22 @@ def run_distributed_collection(
         ``durable`` flag and workers retain acked-but-not-yet-durable
         ships for reshipment, so a crash between ship and checkpoint
         loses nothing.
-    checkpoint_every_ships / checkpoint_every_seconds:
-        Snapshot cadence: every K ships received and/or every S
-        seconds.  The cadence is a pure performance dial — the durable
-        flag + at-risk reshipment make recovery bit-identical at *any*
-        K — trading steady-state fsync overhead against recovery
-        redelivery volume.  The default (K=8) keeps the overhead under
-        the 10% acceptance bar at 1M users; K=1 makes every ship
-        durable before it is acked at ~3ms per fsync; E21 measures the
-        curve.
+    checkpoint_every_ships:
+        Snapshot cadence K: a checkpoint every K ships received, plus
+        one before every drain ack and after every lease eviction.  The
+        cadence is a pure performance dial — the durable flag + at-risk
+        reshipment make recovery bit-identical at *any* K — trading
+        steady-state fsync overhead against recovery redelivery volume.
+        The default (K=8) keeps the overhead under the 10% acceptance
+        bar at 1M users; K=1 makes every ship durable before it is
+        acked at ~3ms per fsync; E21 measures the curve.
     timeout:
         Hard wall-clock bound on the socket phase; a wedged fleet
         raises :class:`ServiceError` rather than hanging a test run.
+
+    Every frame on every link is held to
+    :data:`~repro.core.serialization.MAX_FRAME_BYTES`; a message over
+    the cap is refused at the sender.
     """
     check_positive_int(num_ingest, name="num_ingest")
     check_positive_int(chunk_size, name="chunk_size")
@@ -2727,11 +2597,6 @@ def run_distributed_collection(
             f"heartbeat_interval must be > 0, got {heartbeat_interval!r}"
         )
     check_positive_int(checkpoint_every_ships, name="checkpoint_every_ships")
-    if checkpoint_every_seconds is not None and not checkpoint_every_seconds > 0:
-        raise ValueError(
-            "checkpoint_every_seconds must be > 0, got "
-            f"{checkpoint_every_seconds!r}"
-        )
     if faults is not None:
         if faults.crash_combiner_at_ships and checkpoint_path is None:
             raise ValueError(
@@ -2835,8 +2700,6 @@ def run_distributed_collection(
             heartbeat_interval=heartbeat_interval,
             checkpoint_path=checkpoint_path,
             checkpoint_every_ships=checkpoint_every_ships,
-            checkpoint_every_seconds=checkpoint_every_seconds,
-            max_frame_bytes=max_frame_bytes,
             timeout=timeout,
         )
     )

@@ -1,45 +1,42 @@
-"""Message codec for the distributed collection service.
+"""Service-side codec layer for the distributed collection service.
 
 The service (:mod:`repro.protocol.service`) moves three kinds of payload
 between machines: report envelopes (clients → ingest tier), wire-
 serialized accumulators (ingest tier → combiner) and small control
-messages (credits, acks, drain).  This module is the codec layer between
-the raw length-prefixed frames of
-:mod:`repro.core.serialization` (``write_frame``/``read_frame``) and the
-daemons' message loops:
+messages (credits, acks, drain).  Every one of them is one frame
+(:mod:`repro.core.serialization`'s ``write_frame``/``read_frame``)
+holding one message of the shared codec
+(:func:`~repro.core.serialization.encode_message` /
+:func:`~repro.core.serialization.decode_message`, re-exported here: a
+compact JSON header with a ``(name, dtype, shape)`` manifest, then the
+raw array bytes).  This module adds what only the service needs:
 
-* a **message** is one frame whose payload is a compact JSON header
-  followed by the raw bytes of zero or more named numpy arrays (the
-  header carries a ``(name, dtype, shape)`` manifest, so the body needs
-  no framing of its own — the same self-describing layout as the
-  accumulator wire format);
-* a **report batch** — any shape an oracle's ``privatize`` returns:
-  a raw array, a tuple of aligned arrays (RAPPOR's ``(cohorts, bits)``),
-  or one of the frozen report dataclasses — is flattened into named
-  arrays plus a ``batch`` tag and rebuilt on the far side through an
-  explicit registry.  Pickles never cross the wire: an unknown batch
-  tag is a loud :class:`ValueError`, not arbitrary code execution.
-
-JSON headers are encoded with ``allow_nan`` enabled so event-time
-frontiers can carry ``±Infinity`` (a drained shard reports ``+inf``);
-both ends of the wire are this codec, so the non-standard JSON literals
-are safe here.
+* **report-batch flattening** — any shape an oracle's ``privatize``
+  returns: a raw array, a tuple of aligned arrays (RAPPOR's
+  ``(cohorts, bits)``), or one of the frozen report dataclasses — is
+  flattened into named arrays plus a ``batch`` tag and rebuilt on the
+  far side through an explicit registry.  Pickles never cross the wire:
+  an unknown batch tag is a loud :class:`ValueError`, not arbitrary code
+  execution;
+* **combiner checkpoints** — ``b"LDPC"`` + u16 version over one message;
+* **framed message I/O** on asyncio streams, under the framing layer's
+  one :data:`~repro.core.serialization.MAX_FRAME_BYTES` cap.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
-import json
 import struct
 from typing import Any
 
 import numpy as np
 
 from repro.core.serialization import (
-    MAX_FRAME_BYTES,
     FRAME_HEADER_BYTES,
     TruncatedFrameError,
+    decode_message,
+    encode_message,
     frame_payload_size,
     write_frame,
 )
@@ -60,75 +57,6 @@ __all__ = [
     "encode_checkpoint",
     "decode_checkpoint",
 ]
-
-_MESSAGE_HEADER = struct.Struct("<I")  # JSON header length inside the frame
-
-
-def _wire_dtype(dtype: np.dtype) -> np.dtype:
-    """The little-endian equivalent of a dtype (bytes on the wire)."""
-    if dtype.byteorder == ">":
-        return dtype.newbyteorder("<")
-    return dtype
-
-
-def encode_message(
-    header: dict, arrays: dict[str, np.ndarray] | None = None
-) -> bytes:
-    """Serialize one message: JSON header + manifest-ordered array bytes."""
-    manifest = []
-    chunks = []
-    for name, arr in (arrays or {}).items():
-        a = np.ascontiguousarray(arr)
-        a = a.astype(_wire_dtype(a.dtype), copy=False)
-        manifest.append(
-            {"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
-        )
-        chunks.append(a.tobytes())
-    head = json.dumps(
-        dict(header, arrays=manifest),
-        separators=(",", ":"),
-        sort_keys=True,
-        allow_nan=True,
-    ).encode("utf-8")
-    return b"".join([_MESSAGE_HEADER.pack(len(head)), head, *chunks])
-
-
-def decode_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Decode one message payload into (header, named arrays).
-
-    Raises ``ValueError`` on anything malformed — a daemon treats that
-    as a protocol error on the connection, never a crash.
-    """
-    if len(payload) < _MESSAGE_HEADER.size:
-        raise ValueError("message payload too short for a header")
-    (hlen,) = _MESSAGE_HEADER.unpack_from(payload)
-    offset = _MESSAGE_HEADER.size
-    if offset + hlen > len(payload):
-        raise ValueError("message header extends past the payload")
-    try:
-        header = json.loads(payload[offset : offset + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError("corrupt message header") from exc
-    if not isinstance(header, dict) or "arrays" not in header:
-        raise ValueError("message header is missing required fields")
-    offset += hlen
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header.pop("arrays"):
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if offset + nbytes > len(payload):
-            raise ValueError("truncated message body")
-        count = max(nbytes // dtype.itemsize, 0)
-        arr = np.frombuffer(
-            payload, dtype=dtype, count=count, offset=offset
-        ).reshape(shape)
-        arrays[entry["name"]] = arr.copy()  # own, writable memory
-        offset += nbytes
-    if offset != len(payload):
-        raise ValueError("trailing bytes after message body")
-    return header, arrays
-
 
 # -- report-batch flattening -------------------------------------------------
 
@@ -312,21 +240,13 @@ def decode_checkpoint(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def write_message(
-    writer,
-    header: dict,
-    arrays: dict[str, np.ndarray] | None = None,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
+    writer, header: dict, arrays: dict[str, np.ndarray] | None = None
 ) -> int:
     """Encode and frame one message onto a stream/``asyncio.StreamWriter``."""
-    return write_frame(
-        writer, encode_message(header, arrays), max_frame_bytes=max_frame_bytes
-    )
+    return write_frame(writer, encode_message(header, arrays))
 
 
-async def read_message(
-    reader, *, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> tuple[dict, dict[str, np.ndarray]] | None:
+async def read_message(reader) -> tuple[dict, dict[str, np.ndarray]] | None:
     """Read one framed message from an ``asyncio.StreamReader``.
 
     Returns ``None`` on a clean end of stream; raises
@@ -346,7 +266,7 @@ async def read_message(
             f"stream ended {FRAME_HEADER_BYTES - len(exc.partial)} bytes "
             "short of a frame header"
         ) from exc
-    size = frame_payload_size(head, max_frame_bytes=max_frame_bytes)
+    size = frame_payload_size(head)
     try:
         payload = await reader.readexactly(size)
     except asyncio.IncompleteReadError as exc:
