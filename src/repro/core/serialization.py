@@ -45,8 +45,9 @@ comparison is bit-exact, not approximate.
 :func:`decode_message` is the one parser of these bytes, and anything
 malformed — truncation, trailing bytes, an unreadable header, or a
 manifest with a non-list ``arrays``, an entry that is not an object
-with a string name, an unreadable or object dtype, or a negative
-dimension — raises ``ValueError``.
+with a string name, an unreadable, object or zero-size dtype, or a
+shape outside numpy's limits (a negative dimension, more than 64) —
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ WIRE_VERSION = 1
 _PREFIX_STRUCT = struct.Struct("<4sB")  # accumulator magic, version
 _MESSAGE_HEADER = struct.Struct("<I")  # JSON header length
 _TYPESTR = re.compile(r"[<>|=]?[A-Za-z]\d*(?:\[\w+\])?")  # e.g. <i8, <M8[ns]
+# numpy's own shape limits.  A shape beyond them names no array the
+# encoder could have written, and checking them first keeps the element
+# count a product of at most 64 machine-sized factors.
+_MAX_NDIM = 64
+_MAX_DIM = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -290,13 +296,19 @@ def _manifest_entry(entry: Any) -> tuple[str, np.dtype, tuple[int, ...]]:
         raise ValueError(
             f"array {name!r:.40} has an unreadable dtype {spec!r:.40}"
         ) from exc
+    if dtype.itemsize == 0:
+        # "|S0" would hold any element count in zero bytes, past the
+        # body-size check and into np.frombuffer's OverflowError.
+        raise ValueError(f"array {name!r:.40} has a zero-size dtype {spec!r:.40}")
     shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(
-        type(dim) is int and dim >= 0 for dim in shape
+    if (
+        not isinstance(shape, list)
+        or len(shape) > _MAX_NDIM
+        or not all(type(dim) is int and 0 <= dim <= _MAX_DIM for dim in shape)
     ):
         raise ValueError(
-            f"array {name!r:.40} shape {shape!r:.40} is not a list of "
-            "dimensions >= 0"
+            f"array {name!r:.40} shape is not a list of at most {_MAX_NDIM} "
+            f"dimensions in [0, {_MAX_DIM}]: {shape!r:.40}"
         )
     return name, dtype, tuple(shape)
 

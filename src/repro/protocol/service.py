@@ -1066,7 +1066,8 @@ class CombinerDaemon:
     Accepts any number of worker connections; each connection speaks
     ``register`` / ``ship`` / ``heartbeat`` / ``drain`` and gets a
     ``ship_ack`` / ``drain_ack`` per acked message.  A ``drain`` carries
-    the worker's :class:`WorkerServiceStats` as one record (``stats``).
+    the worker's :class:`WorkerServiceStats` as one record (``stats``),
+    whose ``worker_id`` is the only worker id the message holds.
     Every frame is held to the framing layer's
     :data:`~repro.core.serialization.MAX_FRAME_BYTES`, the one cap both
     ends of a link share.  A connection dying mid-frame is normal
@@ -1278,13 +1279,15 @@ class CombinerDaemon:
                         now=now,
                     )
                 elif kind == "drain":
-                    worker_id = int(header["worker"])
+                    # The stats record is the only worker id a drain carries.
                     stats = WorkerServiceStats(**header["stats"])
-                    self.core.drain(worker_id, stats, now=now)
+                    self.core.drain(stats.worker_id, stats, now=now)
                     # A drain_ack releases the worker's client-side state
                     # for good, so the drained data must be on disk first.
                     self._maybe_checkpoint(force=True)
-                    write_message(writer, {"type": "drain_ack", "worker": worker_id})
+                    write_message(
+                        writer, {"type": "drain_ack", "worker": stats.worker_id}
+                    )
                     await writer.drain()
                     if self.core.all_drained:
                         self._done.set()
@@ -1709,7 +1712,7 @@ class IngestDaemon:
             route_seconds=folder.route_seconds,
             absorb_seconds=folder.absorb_seconds,
         )
-        return {"type": "drain", "worker": self.worker_id, "stats": asdict(stats)}
+        return {"type": "drain", "stats": asdict(stats)}
 
     async def _drain(self) -> None:
         loop = asyncio.get_running_loop()

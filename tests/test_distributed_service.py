@@ -9,7 +9,9 @@ to the single-host ``run_sharded_collection`` over the same privatized
 reports, no matter how delivery was duplicated or interrupted.
 """
 
+import json
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +65,18 @@ def test_message_decode_rejects_malformed():
         decode_message(payload[:-5])
     with pytest.raises(ValueError):
         decode_message(b"\x02")
+    # Each manifest is refused at its shape, before any element count:
+    # [-1] would move the read offset back so "b" decodes from the
+    # header's own tail, and 100 or oversized dimensions would make the
+    # count a big-integer product.
+    for shape in ([-1], [2] * 100, [2**63]):
+        manifest = [
+            {"name": "a", "dtype": "<i8", "shape": shape},
+            {"name": "b", "dtype": "|u1", "shape": [8]},
+        ]
+        h = json.dumps({"arrays": manifest}).encode("utf-8")
+        with pytest.raises(ValueError, match="shape"):
+            decode_message(struct.pack("<I", len(h)) + h)
 
 
 def _report_batches():
