@@ -1,11 +1,15 @@
 """Benchmark-regression guard: diff fresh BENCH_E*.json against baselines.
 
-The E14–E20 benchmarks emit machine-readable throughput/latency JSON.
-This script walks a fresh results directory and a baseline directory in
-parallel and flags any tracked metric that regressed beyond a tolerance
-factor: throughput-like metrics (``users_per_sec``) must not fall below
-``baseline / tolerance``, latency-like metrics (``*_ms``,
-``wall_seconds``) must not rise above ``baseline * tolerance``.
+``bench_e14_e21.py`` saves each E14–E21 table as JSON: ``rows`` holds
+one dict per table row, keyed by column name.  This script walks a
+fresh results directory and a baseline directory in parallel and flags
+any tracked cell, in any row, that regressed beyond a tolerance factor:
+throughput columns (``users_per_s``, E18's ``items_per_s``) must not
+fall below ``baseline / tolerance``, latency columns (``wall_s``,
+``snapshot_ms``, ``merge_ms``, ``finalize_ms``, ``recovery_s``) must not
+rise above ``baseline * tolerance``.  A zero cell, in a column that
+does not apply to its row, passes both rules; a dropped row or column
+is a schema change.
 
 Two deliberate design points:
 
@@ -15,7 +19,7 @@ Two deliberate design points:
   ``benchmarks/results/smoke/`` generated at the same
   ``REPRO_BENCH_USERS`` the workflow smoke runs use.
 * **Calibrated tolerance.**  CI runners and dev laptops differ by
-  small integer factors.  Payloads produced by ``benchmarks/conftest.py``
+  small integer factors.  Payloads saved by ``benchmarks/conftest.py``
   carry a ``machine_score`` — seconds for the fixed micro-kernel in
   ``_machine_score.py`` on the producing runner.  When both fresh and
   baseline payloads carry one, the guard scales its band by the
@@ -48,23 +52,22 @@ import sys
 
 BENCH_IDS = ("E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21")
 
-#: Metric keys where larger is better (fail when fresh < baseline / tol).
-THROUGHPUT_KEYS = {"users_per_sec", "users_per_second"}
-#: Metric keys where smaller is better (fail when fresh > baseline * tol),
-#: mapped to their noise floor *in the metric's own unit*: timings below
+#: Columns where larger is better (fail when fresh < baseline / tol).
+THROUGHPUT_KEYS = {"users_per_s", "items_per_s"}
+#: Columns where smaller is better (fail when fresh > baseline * tol),
+#: mapped to their noise floor *in the column's own unit*: timings below
 #: the floor are scheduler/GC noise at smoke scale (a single paused
 #: window easily jumps 10x inside a millisecond) and never count as
-#: regressions — the throughput metrics carry the guard at that scale.
+#: regressions — the throughput columns carry the guard at that scale.
 LATENCY_KEYS = {
-    "wall_seconds": 1e-2,
+    "wall_s": 1e-2,
     "snapshot_ms": 1.0,
-    "mean_snapshot_ms": 1.0,
     "merge_ms": 1.0,
     "finalize_ms": 1.0,
     # Supervisor restart latency: close crashed combiner, restore the
     # checkpoint, rebind the port.  Sub-second restores are all I/O +
     # scheduler noise at smoke scale.
-    "recovery_seconds": 0.5,
+    "recovery_s": 0.5,
 }
 
 

@@ -6,10 +6,10 @@ micro-benchmarks), asserts the experiment's expected shape, and saves
 the rendered table under ``benchmarks/results/`` so EXPERIMENTS.md can
 quote it.
 
-Perf-tracking benchmarks additionally emit a machine-readable
-``BENCH_E*.json`` next to the ``.txt`` render (``save_bench_json``):
-throughput, latency and memory numbers a trajectory tool can diff across
-commits without parsing aligned-column text.
+The E14–E21 harness (``bench_e14_e21.py``) also saves each table as
+machine-readable ``BENCH_E*.json`` (``save_bench_json``): the table's
+rows keyed by column name, which ``check_bench_regression.py`` diffs
+against committed baselines without parsing aligned-column text.
 """
 
 from __future__ import annotations
@@ -36,24 +36,29 @@ def save_table():
 
 @pytest.fixture(scope="session")
 def save_bench_json():
-    """Write a machine-readable payload to benchmarks/results/BENCH_<id>.json.
+    """Write a table to benchmarks/results/BENCH_<id>.json; return its rows.
 
-    Every payload is stamped with the producing runner's calibration
-    score (``machine_score``, seconds for a fixed micro-kernel — see
-    ``_machine_score.py``) so the regression guard can scale its
-    tolerance by the fresh/baseline machine-speed ratio instead of
-    absorbing hardware differences into one blanket factor.
+    The payload is ``{"experiment", "users", "rows"}``, one dict per
+    table row keyed by column name, stamped with the producing runner's
+    calibration score (``machine_score``, seconds for a fixed
+    micro-kernel — see ``_machine_score.py``) so the regression guard
+    can scale its tolerance by the fresh/baseline machine-speed ratio
+    instead of absorbing hardware differences into one blanket factor.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     from _machine_score import machine_score
 
-    def _save(experiment_id: str, payload: dict) -> None:
+    def _save(experiment_id: str, users: int, table) -> list[dict]:
+        rows = [dict(zip(table.columns, row)) for row in table.rows]
+        payload = {
+            "experiment": experiment_id,
+            "users": users,
+            "rows": rows,
+            "machine_score": machine_score(),
+        }
         path = RESULTS_DIR / f"BENCH_{experiment_id}.json"
-        payload = dict(payload, machine_score=machine_score())
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        return rows
 
     return _save
 

@@ -370,7 +370,9 @@ class SealedWindow:
     worker's frontier, minus the allowed lateness — passed the pane's
     end, so no on-time report can still arrive for it.  ``users`` counts
     the reports folded into the pane before sealing; partials arriving
-    after the seal are counted late, never merged.
+    after the seal are counted late, never merged — as are partials for
+    a pane the watermark passed before any data reached it, so windows
+    seal in pane order.
     """
 
     pane: int
@@ -478,7 +480,7 @@ class CombinerCore:
         self._eviction_log: list[tuple[int, float]] = []
         self._seen: set[str] = set()
         self._panes: dict[int | None, Any] = {}
-        self._sealed: set[int | None] = set()
+        self._sealed_through: int | None = None  # last sealed pane index
         self._windows: list[SealedWindow] = []
         self._total = oracle.accumulator()
         self._worker_stats: dict[int, WorkerServiceStats] = {}
@@ -648,6 +650,12 @@ class CombinerCore:
         members count duplicate, fresh members merge exactly once.
         Either way the sender's frontier advances (a redelivered ship
         still proves how far the worker has read) and sealing re-runs.
+
+        A partial is late when its pane is sealed under the collector's
+        rule: the pane's end is at or below the watermark, or its index
+        is at or below the last sealed pane.  The watermark is the one
+        before this ship's frontier moves it, because the ship's
+        reports precede its frontier.
         """
         worker_id = self._check_worker(ship.worker_id)
         if worker_id not in self._registered:
@@ -657,6 +665,7 @@ class CombinerCore:
             )
         self._touch(worker_id, now)
         self.ships_received += 1
+        mark = self.watermark
         if ship.frontier is not None:
             self._frontiers[worker_id] = max(
                 self._frontiers[worker_id], float(ship.frontier)
@@ -675,8 +684,8 @@ class CombinerCore:
                         "worker and combiner disagree on the window spec"
                     )
                 part = self._oracle.accumulator().from_bytes(payload)
-                if pane in self._sealed:
-                    # The pane already sealed fleet-wide: the straggler is
+                if self._is_sealed(pane, mark):
+                    # The pane sealed fleet-wide: the straggler is
                     # *counted* (absorbed + late == n stays exact) but its
                     # reports never reach estimates.
                     self.late += part.n_absorbed
@@ -706,6 +715,14 @@ class CombinerCore:
             self._worker_stats[worker_id] = stats
         self._seal()
 
+    def _is_sealed(self, pane: int | None, mark: float) -> bool:
+        """Whether ``pane`` is sealed under the watermark ``mark``."""
+        if pane is None or self._window is None:
+            return False
+        if self._sealed_through is not None and pane <= self._sealed_through:
+            return True
+        return self._window.pane_bounds(pane)[1] <= mark
+
     def _seal(self) -> None:
         """Seal every open pane whose end the merged watermark passed."""
         if self._window is None or not self._panes:
@@ -717,7 +734,8 @@ class CombinerCore:
         for pane in ready:
             acc = self._panes.pop(pane)
             start, end = self._window.pane_bounds(pane)
-            self._sealed.add(pane)
+            if self._sealed_through is None or pane > self._sealed_through:
+                self._sealed_through = pane
             self._windows.append(
                 SealedWindow(
                     pane=pane,
@@ -812,7 +830,9 @@ class CombinerCore:
             "evicted": sorted(self._evicted),
             "evictions": [[w, at] for w, at in self._eviction_log],
             "seen": sorted(self._seen),
-            "sealed": sorted(self._sealed),
+            "sealed": (
+                [] if self._sealed_through is None else [self._sealed_through]
+            ),
             "panes": panes,
             "windows": windows,
             "worker_stats": stats,
@@ -883,9 +903,10 @@ class CombinerCore:
             (int(w), float(at)) for w, at in header["evictions"]
         ]
         core._seen = set(header["seen"])
-        core._sealed = {
-            None if p is None else int(p) for p in header["sealed"]
-        }
+        # The sealed-through index travels as a one-element list; older
+        # checkpoints list every sealed pane, whose max is the same index.
+        sealed = [int(p) for p in header["sealed"] if p is not None]
+        core._sealed_through = max(sealed, default=None)
         for entry in header["windows"]:
             core._windows.append(
                 SealedWindow(

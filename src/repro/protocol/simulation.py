@@ -103,11 +103,10 @@ class ShardStats:
 
     ``kernel_worker_tiles`` maps kernel-pool worker slot → tiles that
     worker processed for this shard's decodes (slot ``-1`` is inline
-    execution on the shard thread itself).  Under core-affine
-    scheduling (the default) each deterministic report span sticks to
-    one worker, so the histogram concentrates; with
-    ``REPRO_KERNEL_AFFINITY=0`` it spreads round-robin.  Stored as a
-    sorted tuple of pairs so the dataclass stays hashable/frozen.
+    execution on the shard thread itself).  Dispatch is core-affine:
+    each deterministic report span sticks to one worker, so the
+    histogram concentrates.  Stored as a sorted tuple of pairs so the
+    dataclass stays hashable/frozen.
     """
 
     shard_index: int

@@ -88,13 +88,14 @@ caps the entry count; ``0`` disables caching entirely).
 Scheduling
 ----------
 Tile tasks fan out across a process-wide pool of daemon workers.  The
-pool is *core-affine* by default: report spans are deterministic
-(``linspace`` bounds), and span ``k`` is always dispatched to worker
-``k``, so repeated decodes of the same population hit the same worker —
-and thus the same warm core caches — instead of being round-robin
-scattered.  ``REPRO_KERNEL_AFFINITY=0`` opts out (rotating dispatch).
-Per-worker tile counts are reported through :class:`KernelTiming` so
-``ShardStats`` can surface the placement.
+pool is *core-affine*: report spans are deterministic (``linspace``
+bounds), and span ``k`` is always dispatched to worker ``k``, so
+repeated decodes of the same population hit the same worker — and thus
+the same warm core caches.  Per-worker tile counts are reported through
+:class:`KernelTiming` so ``ShardStats`` can surface the placement.  A
+forked child (the sharded pipeline's process backend) inherits the pool
+object but none of its threads, so the child forgets it at fork and
+starts its own on first use.
 
 Timing
 ------
@@ -138,7 +139,6 @@ __all__ = [
     "KernelTiming",
     "kernel_timing_scope",
     "kernel_thread_count",
-    "kernel_affinity_enabled",
     "KernelPlanCache",
     "kernel_plan_cache",
     "plan_cache_capacity",
@@ -257,8 +257,8 @@ class KernelTiming:
 
     ``worker_tiles`` maps pool-worker slot → number of tiles that worker
     processed for this scope (slot ``-1`` is inline execution on the
-    calling thread).  Under affinity scheduling the histogram shows each
-    worker pinned to its span; under scatter it spreads.
+    calling thread).  Core-affine dispatch pins each span to one worker,
+    so the histogram concentrates.
     """
 
     hash_seconds: float = 0.0
@@ -429,18 +429,7 @@ kernel_plan_cache = KernelPlanCache()
 # shared tile pool (core-affine)
 # ---------------------------------------------------------------------------
 
-_AFFINITY_ENV = "REPRO_KERNEL_AFFINITY"
 _worker_slot = threading.local()
-
-
-def kernel_affinity_enabled() -> bool:
-    """Whether tile dispatch is core-affine (sticky span → worker).
-
-    On by default; ``REPRO_KERNEL_AFFINITY=0`` (or ``false``/``off``/
-    ``no``) switches to rotating round-robin dispatch.
-    """
-    env = os.environ.get(_AFFINITY_ENV, "").strip().lower()
-    return env not in {"0", "false", "off", "no"}
 
 
 def _current_worker_slot() -> int:
@@ -460,8 +449,6 @@ class _KernelPool:
     def __init__(self, size: int) -> None:
         self.size = size
         self._queues = [queue.SimpleQueue() for _ in range(size)]
-        self._rotor = 0
-        self._rotor_lock = threading.Lock()
         for idx in range(size):
             thread = threading.Thread(
                 target=self._worker,
@@ -491,12 +478,6 @@ class _KernelPool:
         self._queues[slot % self.size].put((future, fn))
         return future
 
-    def next_scatter_slot(self) -> int:
-        with self._rotor_lock:
-            slot = self._rotor
-            self._rotor = (self._rotor + 1) % self.size
-            return slot
-
     def shutdown(self) -> None:
         """Stop workers after they drain already-queued tasks."""
         for q in self._queues:
@@ -506,6 +487,24 @@ class _KernelPool:
 _pool_lock = threading.Lock()
 _pool: _KernelPool | None = None
 _pool_size = 0
+
+
+def _forget_pool_after_fork() -> None:
+    """Drop the inherited tile pool in a forked child.
+
+    ``fork`` copies ``_pool`` but none of its worker threads, so tiles
+    queued to it would wait forever.  The child starts its own pool on
+    first use; the lock is replaced too, in case another thread held it
+    at the fork.
+    """
+    global _pool, _pool_size, _pool_lock
+    _pool = None
+    _pool_size = 0
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def kernel_thread_count() -> int:
@@ -537,13 +536,11 @@ def _submit_to_shared_pool(threads: int, calls) -> list:
     the sharded pipeline's own thread backend is already fanning shards
     out: total in-flight tile tasks are bounded by the pool size.
 
-    Dispatch is core-affine by default: ``calls[k]`` goes to worker
-    ``k mod size``.  Report spans are deterministic (``linspace``
-    bounds over the same population), so span ``k`` of every decode of
-    that population lands on the same worker and reuses its warm core
-    caches — and its thread-local scratch, already sized for the span.
-    With ``REPRO_KERNEL_AFFINITY=0`` dispatch degrades to a rotating
-    scatter (the pre-affinity behavior).
+    Dispatch is core-affine: ``calls[k]`` goes to worker ``k mod
+    size``.  Report spans are deterministic (``linspace`` bounds over
+    the same population), so span ``k`` of every decode of that
+    population lands on the same worker and reuses its warm core caches
+    — and its thread-local scratch, already sized for the span.
 
     Submission happens *inside* the pool lock: when a caller asks for
     more workers than the current pool has, the pool is replaced under
@@ -558,9 +555,7 @@ def _submit_to_shared_pool(threads: int, calls) -> list:
                 _pool.shutdown()
             _pool = _KernelPool(threads)
             _pool_size = threads
-        if kernel_affinity_enabled():
-            return [_pool.submit(slot, fn) for slot, fn in enumerate(calls)]
-        return [_pool.submit(_pool.next_scatter_slot(), fn) for fn in calls]
+        return [_pool.submit(slot, fn) for slot, fn in enumerate(calls)]
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +759,9 @@ class FusedSupportKernel:
         Layout: candidates are the leading axis so the per-candidate
         count reduction sums along contiguous memory.  Scratch comes
         from the per-thread pool — repeated small absorbs (streaming
-        panes) reuse the same buffers call after call, and under
-        affinity scheduling each worker's buffers are already sized for
-        its sticky span.  The arithmetic and its bounds are in the class
+        panes) reuse the same buffers call after call, and because
+        dispatch is core-affine each worker's buffers are already sized
+        for its sticky span.  The arithmetic and its bounds are in the class
         docstring.
         """
         x = self._x

@@ -30,7 +30,9 @@ from repro.protocol import (
     run_sharded_collection,
 )
 from repro.protocol.transport import (
+    decode_checkpoint,
     decode_message,
+    encode_checkpoint,
     encode_message,
     pack_report_batch,
     pack_timed_reports,
@@ -360,6 +362,44 @@ def test_merged_watermark_and_sealing_across_workers():
     assert [w.pane for w in result.windows] == [0, 1, 3]
     assert result.absorbed_reports + result.late_reports == 5
     assert sum(w.users for w in result.windows) == result.absorbed_reports
+
+
+def test_straggler_for_a_never_opened_pane_is_late():
+    """A pane the watermark passed while it held no data is sealed too.
+
+    Merging the straggler would seal pane 1 after pane 2; the collector
+    counts the same report late, so the combiner must as well.
+    """
+    oracle = make_oracle("DE", 4, 1.0)
+    window = WindowSpec.event_tumbling(1.0)
+    core = CombinerCore(oracle, num_workers=2, window=window)
+    core.register(0)
+    core.register(1)
+
+    def ship(worker, eid, ts):
+        reports = oracle.privatize(np.arange(len(ts)) % 4, rng=len(eid))
+        folder = ShardFolder(oracle, worker, window=window)
+        return folder.offer(eid, TimedReports(np.asarray(ts, float), reports))
+
+    core.receive(ship(1, "a", [5.5]))
+    core.receive(ship(0, "b", [0.5, 2.5, 4.5]))
+    assert [w.pane for w in core.sealed_windows] == [0, 2]
+    # Checkpoints hold the sealed-through index; one listing every
+    # sealed pane, as older combiners wrote, restores to the same rule.
+    header, arrays = decode_checkpoint(core.to_checkpoint())
+    assert header["sealed"] == [2]
+    header["sealed"] = [0, 2]
+    core = CombinerCore.from_checkpoint(
+        oracle, encode_checkpoint(header, arrays), window=window
+    )
+    core.receive(ship(1, "c", [1.2]))
+    assert core.late == 1
+    core.drain(0)
+    core.drain(1)
+    result = core.result()
+    assert [w.pane for w in result.windows] == [0, 2, 4, 5]
+    assert result.late_reports == 1
+    assert result.absorbed_reports + result.late_reports == 5
 
 
 def test_restarted_worker_cannot_regress_the_watermark():

@@ -9,9 +9,17 @@ regression), its bounded-memory chunking, its bookkeeping, and the
 `report_bytes` classification fix.
 """
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     ORACLE_REGISTRY,
     DirectEncoding,
@@ -175,6 +183,57 @@ class TestExecutorBackends:
         # Bitwise for every oracle — SHE's exact summation closed the
         # old ~1e-9 shard-order caveat.
         assert np.array_equal(process.estimated_counts, serial.estimated_counts)
+
+    def test_process_backend_after_the_kernel_pool_started(self):
+        """Forked workers must not queue tiles to the parent's pool.
+
+        The serial run starts the kernel tile pool (65,536 reports × 64
+        candidates is past the inline threshold); a forked worker
+        inherits the pool object but none of its threads.  Runs in a
+        subprocess of its own session so a hang is killed with every
+        worker it forked.
+        """
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core import make_oracle
+            from repro.protocol import run_sharded_collection
+            oracle = make_oracle("OLH", 64, 1.0)
+            values = np.random.default_rng(0).integers(0, 64, size=200_000)
+            runs = [
+                run_sharded_collection(
+                    oracle, values, num_shards=2, chunk_size=65_536,
+                    backend=backend, workers=2, rng=3,
+                )
+                for backend in ("serial", "process")
+            ]
+            assert np.array_equal(
+                runs[0].estimated_counts, runs[1].estimated_counts
+            )
+            """
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            REPRO_KERNEL_THREADS="2",
+            PYTHONPATH=src if not path else src + os.pathsep + path,
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("process backend hung once the kernel pool had started")
+        assert proc.returncode == 0, err
 
     def test_thread_backend_matches_serial(self):
         oracle = OptimalLocalHashing(16, 1.2)

@@ -14,7 +14,6 @@ from repro.util.kernels import (
     candidate_digest,
     column_support_counts,
     hadamard_support_counts,
-    kernel_affinity_enabled,
     kernel_plan_cache,
     kernel_thread_count,
     kernel_timing_scope,
@@ -434,18 +433,7 @@ class TestKernelPlanCache:
 
 
 class TestAffinityScheduling:
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_AFFINITY", raising=False)
-        assert kernel_affinity_enabled()
-        for off in ("0", "false", "OFF", "no"):
-            monkeypatch.setenv("REPRO_KERNEL_AFFINITY", off)
-            assert not kernel_affinity_enabled()
-        monkeypatch.setenv("REPRO_KERNEL_AFFINITY", "1")
-        assert kernel_affinity_enabled()
-
-    @pytest.mark.parametrize("affinity", ["1", "0"])
-    def test_worker_tiles_recorded_and_result_identical(self, monkeypatch, affinity):
-        monkeypatch.setenv("REPRO_KERNEL_AFFINITY", affinity)
+    def test_worker_tiles_recorded_and_result_identical(self):
         rng = np.random.default_rng(13)
         n = 40_000
         a = rng.integers(1, P, size=n).astype(np.uint64)
@@ -474,9 +462,8 @@ class TestAffinityScheduling:
             kernel.support_counts(a, b, y)
         assert set(timing.worker_tiles) == {-1}
 
-    def test_sticky_spans_reuse_workers(self, monkeypatch):
-        """Under affinity, repeated decodes land spans on the same workers."""
-        monkeypatch.setenv("REPRO_KERNEL_AFFINITY", "1")
+    def test_sticky_spans_reuse_workers(self):
+        """Repeated decodes land spans on the same workers."""
         rng = np.random.default_rng(15)
         n = 50_000
         a = rng.integers(1, P, size=n).astype(np.uint64)
