@@ -6,6 +6,8 @@ kernel against their ``_reference_*`` twins on a fixed-seed batch (OLH
 at every kind of hash range ``g`` the kernel's divisibility test
 distinguishes: odd, a power of two, and even but not a power of two; the
 bit-sliced Hadamard kernel also at a 2^20 domain with 1024 candidates),
+the segmented OLH decode of a key-sorted batch against one fused call
+per segment (rows checked against the reference on every segment),
 cached-plan streaming absorption against per-pane plan rebuild, and the
 vectorized session sweep against the per-report reference walk; prints
 the speedups, and **fails** (exit 1) if any fast-path output is not
@@ -75,6 +77,34 @@ def main(argv=None) -> int:
             f"speedup {ref_s / fused_s:.2f}x bit_identical={identical}"
         )
     olh = OptimalLocalHashing(args.domain, args.epsilon)
+
+    # Segmented decode: a key-sorted batch cut into segments of 1-400
+    # reports, so most tiles (1024 reports at d=64) hold several
+    # segments and many segments cross a tile edge.
+    seg_n = min(args.users, 50_000)
+    seg_reports = olh.privatize(values[:seg_n], rng=rng)
+    lengths = rng.integers(1, 400, size=seg_n)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    starts = starts[starts < seg_n]
+    bounds = np.append(starts, seg_n)
+    segments = [
+        slice_report_batch(seg_reports, slice(lo, hi))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    ref = np.stack([olh._reference_support_counts_for(s, cands) for s in segments])
+    per_segment, per_segment_s = _time(
+        lambda: np.stack([olh.support_counts_for(s, cands) for s in segments])
+    )
+    segmented, segmented_s = _time(
+        lambda: olh.segment_support_counts(seg_reports, cands, starts)
+    )
+    identical = np.array_equal(ref, segmented) and np.array_equal(ref, per_segment)
+    ok &= identical
+    print(
+        f"olh-seg n={seg_n} d={args.domain} segments={starts.size}: "
+        f"per-segment {per_segment_s:.3f}s segmented {segmented_s:.3f}s "
+        f"speedup {per_segment_s / segmented_s:.2f}x bit_identical={identical}"
+    )
 
     hr = HadamardResponse(args.domain, args.epsilon)
     hr_reports = hr.privatize(values, rng=rng)

@@ -114,6 +114,32 @@ class _LocalHashing(PureFrequencyOracle):
         a, b = params_from_seeds(reports.seeds)
         return kernel.support_counts(a, b, reports.values)
 
+    def segment_support_counts(
+        self, reports: HashedReports, candidates: np.ndarray | None, starts
+    ) -> np.ndarray:
+        """Per-segment support counts from one fused kernel pass.
+
+        One report check, one candidate check and plan lookup, one
+        ``params_from_seeds`` and one
+        :meth:`~repro.util.kernels.FusedSupportKernel.segment_counts`
+        call for the whole key-sorted batch, where the per-slice default
+        pays each once per segment.  Row ``i`` is bit-identical to
+        :meth:`support_counts_for` over segment ``i``.
+        """
+        if self.g >= (1 << 31):  # beyond the kernel's uint32 bounds; rare
+            return super().segment_support_counts(reports, candidates, starts)
+        self._check_reports(reports)
+        cands = check_domain_values(
+            np.arange(self._domain_size, dtype=np.int64)
+            if candidates is None
+            else candidates,
+            self._domain_size,
+            name="candidates",
+        )
+        kernel = self._support_kernel(cands)
+        a, b = params_from_seeds(reports.seeds)
+        return kernel.segment_counts(a, b, reports.values, starts)
+
     def _support_kernel(self, validated_candidates: np.ndarray) -> FusedSupportKernel:
         """Cached premixed support kernel for a validated candidate array.
 

@@ -37,6 +37,12 @@ and ``finalize()`` produces the count estimates.  Every oracle's
 ``n``, so absorbing any sharding of a batch and merging is *exactly*
 (bitwise) the whole-batch estimate: support counts are integer-valued and
 float64 addition of integers below 2^53 is associative.
+
+``absorb_segments(targets, reports, starts)`` is the *keyed* absorb: a
+batch sorted by key (an event-time pane, say) folds each key's segment
+into its own accumulator in one call, bit-identical to slicing each
+segment out and absorbing it.  A collector that splits every envelope
+across several panes pays one decode pass instead of one per pane.
 """
 
 from __future__ import annotations
@@ -48,11 +54,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.timed import batch_length, slice_report_batch
 from repro.util.rng import ensure_generator
 from repro.util.validation import (
     check_domain_values,
     check_epsilon,
     check_positive_int,
+    check_segment_starts,
 )
 
 __all__ = [
@@ -147,6 +155,24 @@ class Accumulator(ABC):
     def absorb(self, reports: Any) -> "Accumulator":
         """Fold one report batch into the state; returns ``self``."""
 
+    @classmethod
+    def absorb_segments(
+        cls, targets: Sequence["Accumulator"], reports: Any, starts
+    ) -> None:
+        """Keyed absorb: ``targets[i]`` absorbs ``reports[starts[i]:starts[i + 1]]``.
+
+        ``reports`` is sorted by key and ``starts`` holds each key
+        segment's first offset (the last segment runs to the end of the
+        batch; see :func:`repro.core.timed.split_by_key`).  Targets may
+        already hold state and may repeat.  The result is bit-identical,
+        in state and ``n``, to slicing each segment and calling
+        :meth:`absorb` — which is exactly what this default does;
+        accumulators with a one-pass decode override it.
+        """
+        bounds = _segment_bounds(starts, batch_length(reports), targets)
+        for target, lo, hi in zip(targets, bounds, bounds[1:]):
+            target.absorb(slice_report_batch(reports, slice(lo, hi)))
+
     @abstractmethod
     def merge(self, other: "Accumulator") -> "Accumulator":
         """Fold another compatible accumulator in; returns ``self``.
@@ -189,9 +215,13 @@ class Accumulator(ABC):
         """Replace the state with already-validated arrays plus the count."""
 
     def _checked_arrays(
-        self, arrays: dict[str, np.ndarray]
+        self, arrays: dict[str, np.ndarray], rows: int | None = None
     ) -> dict[str, np.ndarray]:
-        """Match incoming arrays against this accumulator's state layout."""
+        """Match incoming arrays against this accumulator's state layout.
+
+        With ``rows`` the arrays are that many states stacked on a
+        leading axis (the layout :meth:`stack_rows` writes).
+        """
         own = self._state_arrays()
         if set(arrays) != set(own):
             raise ValueError(
@@ -200,10 +230,11 @@ class Accumulator(ABC):
             )
         for name, current in own.items():
             incoming = arrays[name]
-            if incoming.shape != current.shape:
+            expected = current.shape if rows is None else (rows, *current.shape)
+            if incoming.shape != expected:
                 raise ValueError(
                     f"state array {name!r} has shape {incoming.shape}, "
-                    f"expected {current.shape}"
+                    f"expected {expected}"
                 )
         return {
             name: np.ascontiguousarray(arr, dtype=own[name].dtype)
@@ -233,6 +264,57 @@ class Accumulator(ABC):
             self._n,
             self._state_arrays(),
         )
+
+    def stack_rows(
+        self, accumulators: Sequence["Accumulator"]
+    ) -> dict[str, np.ndarray]:
+        """The states of ``accumulators`` stacked into read-only rows.
+
+        Each state array becomes one ``(P, *shape)`` array holding the
+        ``P`` accumulators' states in order.  They must share this
+        accumulator's configuration (its layout names the arrays, so
+        ``P`` may be 0).  Their counts travel separately; the inverse is
+        :meth:`unstack_rows`.
+        """
+        rows = {}
+        for name, own in self._state_arrays().items():
+            stacked = np.empty((len(accumulators), *own.shape), dtype=own.dtype)
+            for i, acc in enumerate(accumulators):
+                stacked[i] = acc._state_arrays()[name]
+            stacked.setflags(write=False)
+            rows[name] = stacked
+        return rows
+
+    def unstack_rows(
+        self, rows: dict[str, np.ndarray], n: np.ndarray
+    ) -> list["Accumulator"]:
+        """Fresh accumulators of this configuration, one per stacked row.
+
+        The inverse of :meth:`stack_rows`: ``n`` holds each row's report
+        count.  Everything is checked before anything is built — ``n``
+        must be non-negative integers, and the rows must match this
+        accumulator's layout with ``len(n)`` on the leading axis.  Each
+        accumulator holds a *copy* of its row, never a view, so the rows
+        can be unstacked again (a redelivered ship) without aliasing.
+        """
+        import copy as _copy
+
+        counts = np.asarray(n)
+        if (
+            counts.ndim != 1
+            or not np.issubdtype(counts.dtype, np.integer)
+            or np.any(counts < 0)
+        ):
+            raise ValueError(f"row counts {counts!r:.80} are not integers >= 0")
+        checked = self._checked_arrays(rows, rows=counts.shape[0])
+        parts = []
+        for i, count in enumerate(counts.tolist()):
+            part = _copy.copy(self)
+            part._load_state(
+                {name: arr[i].copy() for name, arr in checked.items()}, count
+            )
+            parts.append(part)
+        return parts
 
     def from_bytes(self, payload: bytes) -> "Accumulator":
         """Hydrate this *empty* accumulator from a wire payload; returns self.
@@ -457,6 +539,29 @@ class PureFrequencyOracle(FrequencyOracle):
         cands = check_domain_values(candidates, self._domain_size, name="candidates")
         return self.support_counts(reports)[cands]
 
+    def segment_support_counts(
+        self, reports: Any, candidates: np.ndarray | None, starts
+    ) -> np.ndarray:
+        """``(k, d)`` support counts, row ``i`` over one key segment.
+
+        ``reports`` is sorted by key and segment ``i`` is
+        ``reports[starts[i]:starts[i + 1]]`` (the last runs to the end);
+        ``candidates=None`` counts the whole domain.  This default makes
+        the support call :meth:`PureAccumulator.absorb` makes, once per
+        slice; oracles with a one-pass decode override it.
+        """
+        bounds = _segment_bounds(starts, self.num_reports(reports))
+        width = self._domain_size if candidates is None else len(candidates)
+        counts = np.zeros((len(bounds) - 1, width), dtype=np.float64)
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            part = slice_report_batch(reports, slice(lo, hi))
+            counts[i] = (
+                self.support_counts(part)
+                if candidates is None
+                else self.support_counts_for(part, candidates)
+            )
+        return counts
+
     def estimate_counts_for(self, reports: Any, candidates: np.ndarray) -> np.ndarray:
         """Unbiased count estimates for selected candidate values only."""
         return self.accumulator(candidates).absorb(reports).finalize()
@@ -530,6 +635,37 @@ class PureAccumulator(Accumulator):
         self._n += self._oracle.num_reports(reports)
         return self
 
+    @classmethod
+    def absorb_segments(
+        cls, targets: Sequence[Accumulator], reports: Any, starts
+    ) -> None:
+        """One segmented support-count pass for the whole batch.
+
+        When every target is a plain :class:`PureAccumulator` over the
+        same oracle and candidate list, the oracle's
+        :meth:`~PureFrequencyOracle.segment_support_counts` decodes all
+        segments at once and each target adds its row — the same float
+        additions :meth:`absorb` makes, so the result is bit-identical.
+        Anything else (a subclass that overrides :meth:`absorb`, such as
+        the transform-domain Hadamard accumulator, or mixed targets)
+        takes the per-slice default.
+        """
+        first = targets[0] if targets else None
+        if first is None or not all(
+            type(t) is PureAccumulator
+            and t._oracle is first._oracle
+            and _same_candidates(t._candidates, first._candidates)
+            for t in targets
+        ):
+            super().absorb_segments(targets, reports, starts)
+            return
+        oracle = first._oracle
+        bounds = _segment_bounds(starts, oracle.num_reports(reports), targets)
+        counts = oracle.segment_support_counts(reports, first._candidates, starts)
+        for target, row, lo, hi in zip(targets, counts, bounds, bounds[1:]):
+            target._state += row
+            target._n += hi - lo
+
     def _check_mergeable(self, other: Accumulator) -> None:
         super()._check_mergeable(other)
         assert isinstance(other, PureAccumulator)
@@ -539,10 +675,7 @@ class PureAccumulator(Accumulator):
             or other._oracle.q_star != self._oracle.q_star
         ):
             raise ValueError("cannot merge accumulators of differently configured oracles")
-        if (self._candidates is None) != (other._candidates is None) or (
-            self._candidates is not None
-            and not np.array_equal(self._candidates, other._candidates)
-        ):
+        if not _same_candidates(self._candidates, other._candidates):
             raise ValueError("cannot merge accumulators over different candidate lists")
 
     def merge(self, other: Accumulator) -> "PureAccumulator":
@@ -577,6 +710,25 @@ class PureAccumulator(Accumulator):
     def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
         self._state = arrays["state"]
         self._n = int(n)
+
+
+def _same_candidates(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether two accumulators track the same candidate list (or both none)."""
+    if a is None or b is None:
+        return a is b
+    return a is b or np.array_equal(a, b)
+
+
+def _segment_bounds(
+    starts, n: int, targets: Sequence[Accumulator] | None = None
+) -> list[int]:
+    """Checked ``[*starts, n]`` segment bounds (one segment per target)."""
+    offsets = check_segment_starts(starts, n)
+    if targets is not None and offsets.shape[0] != len(targets):
+        raise ValueError(
+            f"{len(targets)} targets for {offsets.shape[0]} key segments"
+        )
+    return np.append(offsets, n).tolist()
 
 
 def postprocess_counts(raw: np.ndarray, method: str = "none") -> np.ndarray:

@@ -15,13 +15,14 @@ report, alongside any oracle's opaque report batch.  Timestamps are the
 envelope deliberately knows nothing about windows — pane assignment and
 watermark policy live in the collector.
 
-:func:`slice_report_batch` is the generic report-batch slicer the
-engine uses to route one arriving envelope's reports into their
-event-time panes.  It understands every report shape in the repo — raw
-arrays, array tuples (RAPPOR's ``(cohorts, bits)``), and the frozen
-report dataclasses (``HashedReports``, ``CmsReports``, …) — by slicing
-each array field with the same mask, which is exactly what the
-per-report structure of every batch type means.
+:func:`split_by_key` groups one arriving envelope's reports by
+event-time pane, and :func:`slice_report_batch` is the generic
+report-batch slicer that puts them in that order.  It understands every
+report shape in the repo — raw arrays, array tuples (RAPPOR's
+``(cohorts, bits)``), and the frozen report dataclasses
+(``HashedReports``, ``CmsReports``, …) — by slicing each array field
+with the same mask, which is exactly what the per-report structure of
+every batch type means.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "TimedReports",
     "batch_length",
     "slice_report_batch",
+    "split_by_key",
     "concat_report_batches",
     "concat_timed_reports",
     "merge_event_spans",
@@ -64,7 +66,8 @@ def batch_length(reports: Any) -> int:
 def slice_report_batch(reports: Any, mask: np.ndarray) -> Any:
     """Select a subset of users from any report batch, preserving its type.
 
-    ``mask`` is a boolean vector (or integer index array) over users.
+    ``mask`` is a boolean vector, an integer index array or a slice
+    over users.
     Array batches are sliced on their first axis; tuple batches slice
     every element; report dataclasses are rebuilt with every array field
     sliced — all batch types in the repo are per-report structures of
@@ -81,6 +84,26 @@ def slice_report_batch(reports: Any, mask: np.ndarray) -> Any:
             },
         )
     return np.asarray(reports)[mask]
+
+
+def split_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group a batch by key: ``(order, starts)`` for a keyed absorb.
+
+    ``order`` is a stable argsort of ``keys`` — reports keep their
+    arrival order within a key — and ``starts`` holds the offset, in
+    sorted order, where each distinct key's run begins.  Slicing a batch
+    with ``order`` (:func:`slice_report_batch`) and passing ``starts`` to
+    :meth:`~repro.core.mechanism.Accumulator.absorb_segments` folds
+    every key's reports into its own accumulator; key ``i`` is
+    ``keys[order[starts[i]]]``.  Empty keys give empty arrays.
+    """
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    if order.size == 0:
+        return order, np.zeros(0, dtype=np.intp)
+    ranked = keys[order]
+    starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    return order, np.concatenate(([0], starts))
 
 
 def concat_report_batches(batches: list) -> Any:

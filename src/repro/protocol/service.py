@@ -9,15 +9,14 @@ is that topology, runnable on real sockets:
 * **clients** (:func:`feed_envelopes`) send privatized report envelopes
   — length-prefixed frames carrying a :class:`~repro.core.timed.TimedReports`
   batch plus a dedup key — over TCP with credit-based flow control;
-* **ingest workers** (:class:`IngestDaemon`) fold each envelope through
-  the ordinary ``absorb`` path (riding the fused decode kernels and the
-  kernel plan cache), so a worker holds per-pane accumulators, never raw
-  reports, and ship each envelope's partials to the combiner;
-* the **combiner** (:class:`CombinerDaemon`) hydrates wire-serialized
-  accumulators (:mod:`repro.core.serialization` — config-fingerprint
-  checked), merges them through the exact accumulator algebra, tracks
-  each worker's event-time frontier and advances the fleet watermark as
-  the *minimum* over live frontiers
+* **ingest workers** (:class:`IngestDaemon`) fold each envelope into
+  per-pane accumulators with one keyed absorb (riding the fused decode
+  kernels and the kernel plan cache), never keeping raw reports, and
+  ship each envelope's partials to the combiner as stacked state rows;
+* the **combiner** (:class:`CombinerDaemon`) checks each ship's
+  configuration fingerprint and layout, merges its rows through the
+  exact accumulator algebra, tracks each worker's event-time frontier
+  and advances the fleet watermark as the *minimum* over live frontiers
   (:func:`~repro.core.timed.merged_watermark`), sealing event-time panes
   only when every shard has moved past them.
 
@@ -61,6 +60,7 @@ from repro.core.timed import (
     batch_length,
     merged_watermark,
     slice_report_batch,
+    split_by_key,
 )
 from repro.protocol.chaos import FaultPlan, FrameFilter, WorkerFault, chaos_unit
 from repro.protocol.streaming import WindowSpec
@@ -167,13 +167,26 @@ def _check_window(window: WindowSpec | None) -> WindowSpec | None:
 class ShipPayload:
     """One fold batch, ready to cross the worker → combiner wire.
 
-    ``sections`` holds one entry per client envelope folded into the
-    batch: ``(envelope_id, panes)``, where ``panes`` maps tumbling pane
-    index → the wire bytes of a fresh accumulator holding exactly that
-    envelope's reports for that pane (pane ``None`` when the service
-    runs unwindowed).  ``frontier`` is the worker's event-time frontier
-    *after* folding the batch — ``None`` until the worker has seen any
-    event-time data.
+    The batch's ``P`` pane partials travel as *stacked state rows*, not
+    one serialized accumulator each:
+
+    * ``rows`` maps each accumulator state array to one read-only
+      ``(P, *shape)`` array (:meth:`~repro.core.mechanism.Accumulator.stack_rows`);
+    * ``n`` is the int64 vector of each partial's report count;
+    * ``pane_indices`` is the int64 vector of each partial's tumbling
+      pane index (negative indices are valid), and ``None`` when the
+      service runs unwindowed;
+    * ``sections`` holds one ``(envelope_id, partial count)`` entry per
+      client envelope folded into the batch, in arrival order — the
+      envelope's partials are the next ``count`` rows.  An empty
+      envelope has a section with no partials;
+    * ``kind`` and ``config`` are the accumulator class name and
+      configuration fingerprint, once per ship, which the combiner
+      checks as :meth:`~repro.core.mechanism.Accumulator.from_bytes`
+      checks a payload's.
+
+    ``frontier`` is the worker's event-time frontier *after* folding the
+    batch — ``None`` until the worker has seen any event-time data.
 
     A batch is one or more client envelopes coalesced by the ingest
     micro-batcher; ``envelope_id`` — the ship's ack key — is the
@@ -183,24 +196,25 @@ class ShipPayload:
     unacked, grouped differently), so the combiner dedups per *member*
     id instead.  Keeping each member's partials in their own section is
     what makes that possible — the combiner drops exactly the
-    already-merged members and merges the rest.
+    already-merged members and merges the rest.  The arrays make the
+    payload unfit for ``==``; compare its fields.
     """
 
     worker_id: int
     envelope_id: str
     frontier: float | None
     num_reports: int
-    sections: tuple[tuple[str, tuple[tuple[int | None, bytes], ...]], ...]
+    sections: tuple[tuple[str, int], ...]
+    kind: str
+    config: dict
+    rows: dict[str, np.ndarray]
+    n: np.ndarray
+    pane_indices: np.ndarray | None = None
 
     @property
     def envelope_ids(self) -> tuple[str, ...]:
         """Member envelope ids, in arrival order."""
         return tuple(eid for eid, _ in self.sections)
-
-    @property
-    def panes(self) -> tuple[tuple[int | None, bytes], ...]:
-        """All sections' pane partials, flattened in arrival order."""
-        return tuple(entry for _, panes in self.sections for entry in panes)
 
 
 class ShardFolder:
@@ -208,10 +222,15 @@ class ShardFolder:
 
     ``offer`` is the whole worker-side algorithm: drop an envelope id
     already folded (at-least-once delivery makes redelivery normal, not
-    exceptional), advance the event-time frontier, split the batch into
-    its event-time panes, and fold each pane's reports into a *fresh*
-    accumulator whose wire bytes ship to the combiner.  The folder never
-    keeps report batches — only the dedup set and running counters.
+    exceptional), advance the event-time frontier, group the envelope's
+    reports by event-time pane (:func:`~repro.core.timed.split_by_key`,
+    one reorder per envelope), and fold each pane's reports into a
+    *fresh* accumulator with one keyed absorb
+    (:meth:`~repro.core.mechanism.Accumulator.absorb_segments` — one
+    decode pass per envelope, however many panes it spans).  The ship
+    carries those partials as stacked state rows with the configuration
+    fingerprint, computed once per folder.  The folder never keeps
+    report batches — only the dedup set and running counters.
     """
 
     def __init__(
@@ -224,6 +243,8 @@ class ShardFolder:
         self._oracle = oracle
         self.worker_id = int(worker_id)
         self._window = _check_window(window)
+        self._template = oracle.accumulator()
+        self._config = self._template.config_fingerprint()
         self._seen: set[str] = set()
         self._frontier: float | None = None
         self.envelopes = 0
@@ -294,61 +315,50 @@ class ShardFolder:
         # and retryable, so nothing may have been counted for it.
         self.duplicates += dup_count
         t0 = time.perf_counter()
-        routed: list[
-            tuple[str, Any, list[tuple[int | None, np.ndarray | None]]]
-        ] = []
+        frontier = self._frontier
+        routed: list[tuple[str, Any, np.ndarray]] = []
+        panes: list[np.ndarray] = []
         for envelope_id, payload in fresh:
-            if n_timed:
-                timestamps = payload.timestamps
-                reports = payload.reports
-                if timestamps.size:
-                    high = float(timestamps.max())
-                    self._frontier = (
-                        high
-                        if self._frontier is None
-                        else max(self._frontier, high)
-                    )
+            reports = payload.reports if n_timed else payload
+            size = batch_length(reports)
+            if n_timed and size:
+                high = float(payload.timestamps.max())
+                frontier = high if frontier is None else max(frontier, high)
+            if self._window is None:
+                starts = np.zeros(1 if size else 0, dtype=np.intp)
             else:
-                timestamps = None
-                reports = payload
-            if self._window is None or timestamps is None:
-                segments: list[tuple[int | None, np.ndarray | None]] = [
-                    (None, None)
-                ]
-            else:
-                indices = self._window.pane_index(timestamps)
-                order = np.argsort(indices, kind="stable")
-                cuts = np.flatnonzero(np.diff(indices[order])) + 1
-                segments = [
-                    (int(indices[seg[0]]), seg)
-                    for seg in np.split(order, cuts)
-                    if seg.size
-                ]
-            routed.append((envelope_id, reports, segments))
+                keys = self._window.pane_index(payload.timestamps)
+                order, starts = split_by_key(keys)
+                panes.append(keys[order[starts]])
+                reports = slice_report_batch(reports, order)
+            routed.append((envelope_id, reports, starts))
         t1 = time.perf_counter()
-        n = 0
-        sections: list[tuple[str, tuple[tuple[int | None, bytes], ...]]] = []
-        for envelope_id, reports, segments in routed:
-            panes: list[tuple[int | None, bytes]] = []
-            for pane, segment in segments:
-                acc = self._oracle.accumulator()
-                acc.absorb(
-                    reports
-                    if segment is None
-                    else slice_report_batch(reports, segment)
-                )
-                panes.append((pane, acc.to_bytes()))
-            sections.append((envelope_id, tuple(panes)))
-            n += batch_length(reports)
+        parts: list[Any] = []
+        sections: list[tuple[str, int]] = []
+        for envelope_id, reports, starts in routed:
+            targets = [self._oracle.accumulator() for _ in range(starts.shape[0])]
+            if targets:
+                targets[0].absorb_segments(targets, reports, starts)
+            parts.extend(targets)
+            sections.append((envelope_id, len(targets)))
+        counts = np.array([p.n_absorbed for p in parts], dtype=np.int64)
+        counts.setflags(write=False)
+        pane_indices = None
+        if self._window is not None:
+            pane_indices = np.concatenate(panes).astype(np.int64, copy=False)
+            pane_indices.setflags(write=False)
+        rows = self._template.stack_rows(parts)
         t2 = time.perf_counter()
         self.route_seconds += t1 - t0
         self.absorb_seconds += t2 - t1
         # Mark seen only after the fold succeeded: a refused batch
         # (mixed shapes, bad payload) leaves every id retryable.
+        self._frontier = frontier
         fresh_ids = [envelope_id for envelope_id, _, _ in routed]
         self._seen.update(fresh_ids)
         self.envelopes += len(fresh_ids)
         self.batches += 1
+        n = int(counts.sum())
         self.reports += n
         return (
             ShipPayload(
@@ -357,6 +367,11 @@ class ShardFolder:
                 frontier=self._frontier,
                 num_reports=n,
                 sections=tuple(sections),
+                kind=type(self._template).__name__,
+                config=self._config,
+                rows=rows,
+                n=counts,
+                pane_indices=pane_indices,
             ),
             flags,
         )
@@ -390,8 +405,8 @@ class WorkerServiceStats:
     ``fold_batches`` counts coalesced fold batches (equal to
     ``envelopes`` when micro-batching is off); ``route_seconds`` /
     ``absorb_seconds`` break the worker's fold CPU into classification
-    (frontier + pane argsort/split) and accumulator folding — the
-    worker-side half of the stage story E20 reports.
+    (frontier + pane grouping and reorder) and the keyed fold into
+    stacked rows — the worker-side half of the stage story E20 reports.
     """
 
     worker_id: int
@@ -483,6 +498,8 @@ class CombinerCore:
         self._sealed_through: int | None = None  # last sealed pane index
         self._windows: list[SealedWindow] = []
         self._total = oracle.accumulator()
+        self._kind = type(self._total).__name__
+        self._config = self._total.config_fingerprint()
         self._worker_stats: dict[int, WorkerServiceStats] = {}
         self.absorbed = 0
         self.late = 0
@@ -642,6 +659,16 @@ class CombinerCore:
     def receive(self, ship: ShipPayload, now: float | None = None) -> bool:
         """Merge one shipped batch; ``False`` when every member was a redelivery.
 
+        All or nothing: the whole ship is validated before any state
+        moves — the accumulator kind and configuration fingerprint
+        (``ValueError`` on a mismatch, as
+        :meth:`~repro.core.mechanism.Accumulator.from_bytes` raises),
+        section counts summing to the ``P`` partials, ``n`` as ``P``
+        non-negative integers, the pane vector against the window spec,
+        and the row layout, checked once per ship.  A ship that fails
+        any check leaves dedup ids, counters, frontiers and panes as
+        they were, so its intact reship merges in full.
+
         Dedup is per *member* envelope id, never per ship: batch
         grouping is not stable across worker restarts (a respawned
         worker, its fold state gone, regroups whichever envelopes its
@@ -650,6 +677,9 @@ class CombinerCore:
         members count duplicate, fresh members merge exactly once.
         Either way the sender's frontier advances (a redelivered ship
         still proves how far the worker has read) and sealing re-runs.
+        Every merged row is a copy in a fresh accumulator; shipped
+        arrays are never adopted, so one ship can be received again
+        (a reship after a combiner restore) without aliasing state.
 
         A partial is late when its pane is sealed under the collector's
         rule: the pane's end is at or below the watermark, or its index
@@ -663,27 +693,23 @@ class CombinerCore:
                 f"ship from unregistered worker {worker_id}; a worker must "
                 "register before shipping"
             )
+        parts, panes = self._checked_partials(ship)
+        frontier = None if ship.frontier is None else float(ship.frontier)
         self._touch(worker_id, now)
         self.ships_received += 1
         mark = self.watermark
-        if ship.frontier is not None:
-            self._frontiers[worker_id] = max(
-                self._frontiers[worker_id], float(ship.frontier)
-            )
+        if frontier is not None:
+            self._frontiers[worker_id] = max(self._frontiers[worker_id], frontier)
         fresh = False
-        for envelope_id, panes in ship.sections:
+        end = 0
+        for envelope_id, count in ship.sections:
+            begin, end = end, end + count
             if envelope_id in self._seen:
                 self.duplicates += 1
                 continue
             self._seen.add(envelope_id)
             fresh = True
-            for pane, payload in panes:
-                if pane is None and self._window is not None:
-                    raise ServiceError(
-                        "unwindowed partial shipped to a windowed combiner; "
-                        "worker and combiner disagree on the window spec"
-                    )
-                part = self._oracle.accumulator().from_bytes(payload)
+            for pane, part in zip(panes[begin:end], parts[begin:end]):
                 if self._is_sealed(pane, mark):
                     # The pane sealed fleet-wide: the straggler is
                     # *counted* (absorbed + late == n stays exact) but its
@@ -699,6 +725,49 @@ class CombinerCore:
                 self.absorbed += part.n_absorbed
         self._seal()
         return fresh
+
+    def _checked_partials(
+        self, ship: ShipPayload
+    ) -> tuple[list[Any], list[int | None]]:
+        """A ship's partials as fresh accumulators plus their panes.
+
+        Raises before anything is merged: ``ValueError`` for a foreign
+        configuration or a malformed layout, :class:`ServiceError` when
+        worker and combiner disagree on the window spec.
+        """
+        if ship.kind != self._kind or ship.config != self._config:
+            raise ValueError(
+                "ship was produced under a different configuration "
+                f"(ship {ship.kind} {ship.config!r} vs combiner "
+                f"{self._kind} {self._config!r})"
+            )
+        parts = self._total.unstack_rows(ship.rows, ship.n)
+        counts = [count for _, count in ship.sections]
+        if not all(type(c) is int and c >= 0 for c in counts) or sum(
+            counts
+        ) != len(parts):
+            raise ValueError(
+                f"ship sections count {counts!r:.80} partials, its n vector "
+                f"holds {len(parts)}"
+            )
+        windowed = ship.pane_indices is not None
+        if parts and windowed != (self._window is not None):
+            raise ServiceError(
+                f"{'windowed' if windowed else 'unwindowed'} partials shipped "
+                "to a combiner that is not; worker and combiner disagree on "
+                "the window spec"
+            )
+        if not windowed:
+            return parts, [None] * len(parts)
+        panes = np.asarray(ship.pane_indices)
+        if panes.shape != (len(parts),) or (
+            panes.size and not np.issubdtype(panes.dtype, np.integer)
+        ):
+            raise ValueError(
+                f"ship pane vector is {panes.dtype} {panes.shape}, expected "
+                f"{len(parts)} integer pane indices"
+            )
+        return parts, panes.astype(np.int64).tolist()
 
     def drain(
         self,
@@ -985,47 +1054,51 @@ class ServiceResult:
 # -- wire adapters for the cores ---------------------------------------------
 
 
+#: Message-array name prefix of a ship's stacked state rows.
+_ROWS = "rows."
+
+
 def _ship_to_message(ship: ShipPayload) -> tuple[dict, dict[str, np.ndarray]]:
-    manifest = []
-    arrays: dict[str, np.ndarray] = {}
-    counter = 0
-    for envelope_id, panes in ship.sections:
-        entries = []
-        for pane, payload in panes:
-            name = f"p{counter}"
-            counter += 1
-            entries.append([pane, name])
-            arrays[name] = np.frombuffer(payload, dtype=np.uint8)
-        manifest.append([envelope_id, entries])
+    """A ship as one message: its row, ``n`` and pane arrays map 1:1."""
     header = {
         "type": "ship",
         "worker": ship.worker_id,
         "envelope": ship.envelope_id,
         "frontier": ship.frontier,
         "reports": ship.num_reports,
-        "sections": manifest,
+        "sections": [[envelope_id, count] for envelope_id, count in ship.sections],
+        "kind": ship.kind,
+        "config": ship.config,
     }
+    arrays = {"n": ship.n}
+    if ship.pane_indices is not None:
+        arrays["panes"] = ship.pane_indices
+    arrays.update({_ROWS + name: rows for name, rows in ship.rows.items()})
     return header, arrays
 
 
 def _ship_from_message(header: dict, arrays: dict[str, np.ndarray]) -> ShipPayload:
-    sections = tuple(
-        (
-            str(envelope_id),
-            tuple(
-                (None if pane is None else int(pane), arrays[name].tobytes())
-                for pane, name in entries
-            ),
-        )
-        for envelope_id, entries in header["sections"]
-    )
+    """The inverse of :func:`_ship_to_message`; the combiner validates it."""
+    for arr in arrays.values():
+        arr.setflags(write=False)
     frontier = header.get("frontier")
     return ShipPayload(
         worker_id=int(header["worker"]),
         envelope_id=str(header["envelope"]),
         frontier=None if frontier is None else float(frontier),
         num_reports=int(header["reports"]),
-        sections=sections,
+        sections=tuple(
+            (str(envelope_id), count) for envelope_id, count in header["sections"]
+        ),
+        kind=header["kind"],
+        config=header["config"],
+        rows={
+            name[len(_ROWS) :]: arr
+            for name, arr in arrays.items()
+            if name.startswith(_ROWS)
+        },
+        n=arrays["n"],
+        pane_indices=arrays.get("panes"),
     )
 
 

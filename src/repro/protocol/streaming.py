@@ -92,6 +92,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -105,6 +106,7 @@ from repro.core.timed import (
     batch_length,
     concat_timed_reports,
     slice_report_batch,
+    split_by_key,
 )
 from repro.util.rng import ensure_generator
 from repro.util.validation import check_positive_int
@@ -836,24 +838,6 @@ def resolve_pane_store(spec: WindowSpec, aggregation: str) -> str:
     return aggregation
 
 
-def _grouped_by_pane(timed: TimedReports, panes: np.ndarray, mask: np.ndarray):
-    """Yield ``(pane, sub-envelope)`` per distinct pane under ``mask``.
-
-    One stable argsort + boundary split routes the whole envelope in
-    a single pass — a per-pane mask rescan would cost
-    O(panes · envelope) on heavily out-of-order streams.  The stable
-    sort preserves arrival order within each pane, so absorption
-    order (and hence every bit of the estimates) is unchanged.
-    """
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return
-    order = idx[np.argsort(panes[idx], kind="stable")]
-    cuts = np.flatnonzero(np.diff(panes[order])) + 1
-    for segment in np.split(order, cuts):
-        yield int(panes[segment[0]]), timed.select(segment)
-
-
 class _PaneGeometry:
     """Per-kind pane policy: where a report lands and when a pane seals.
 
@@ -964,10 +948,7 @@ class _FixedPaneGeometry(_PaneGeometry):
         self._charge_panes(panes[routable | gap])
         t2 = time.perf_counter()
         c._late += int(sealed.sum())
-        for pane, sub in _grouped_by_pane(timed, panes, gap):
-            self._route_gap(pane, sub)
-        for pane, sub in _grouped_by_pane(timed, panes, routable):
-            self._absorb_into_pane(pane, sub)
+        self._fold(timed.reports, panes, routable | gap, gap)
         t3 = time.perf_counter()
         stages = c._stage_seconds
         stages["route"] += t1 - t0
@@ -1037,29 +1018,42 @@ class _FixedPaneGeometry(_PaneGeometry):
         self._c._charge_pane(pane, label)
         self._charged.add(pane)
 
-    def _route_gap(self, pane: int, sub: TimedReports) -> None:
-        """Gap reports of a sampling stream: cumulative view only.
+    def _fold(
+        self,
+        reports: Any,
+        panes: np.ndarray,
+        keep: np.ndarray,
+        gap: np.ndarray,
+    ) -> None:
+        """Fold the kept reports into their panes, one absorb per pane.
 
-        The pane still *opens* (empty) so its period's window is
-        emitted when the watermark passes — a sampling stream whose
-        reports all land in gaps still surfaces its (empty) windows and
-        the cumulative view holding those reports.
+        A routable report lands in its open pane.  A gap report of a
+        sampling stream lands in the cumulative view only, but its pane
+        still *opens* (empty) so its period's window is emitted when the
+        watermark passes — a sampling stream whose reports all land in
+        gaps still surfaces its (empty) windows and the cumulative view
+        holding those reports.  Key ``2·pane + gap`` groups both kinds in
+        one stable sort (:func:`~repro.core.timed.split_by_key`) and one
+        reorder of the envelope; the sort keeps arrival order within a
+        key and pane order across keys, so every target absorbs exactly
+        the sequence a per-pane fold would.
         """
         c = self._c
-        if pane not in self._open:
-            self._open[pane] = c._oracle.accumulator()
-        before = c._store.retired.n_absorbed
-        c._store.retired.absorb(sub.reports)
-        c._absorbed += c._store.retired.n_absorbed - before
-
-    def _absorb_into_pane(self, pane: int, sub: TimedReports) -> None:
-        c = self._c
-        acc = self._open.get(pane)
-        if acc is None:
-            acc = self._open[pane] = c._oracle.accumulator()
-        before = acc.n_absorbed
-        acc.absorb(sub.reports)
-        c._absorbed += acc.n_absorbed - before
+        kept = np.flatnonzero(keep)
+        if kept.size == 0:
+            return
+        keys = panes[kept] * 2 + gap[kept]
+        order, starts = split_by_key(keys)
+        grouped = slice_report_batch(reports, kept[order])
+        bounds = np.append(starts, kept.size).tolist()
+        for key, lo, hi in zip(keys[order[starts]].tolist(), bounds, bounds[1:]):
+            pane = key >> 1
+            acc = self._open.get(pane)
+            if acc is None:
+                acc = self._open[pane] = c._oracle.accumulator()
+            target = c._store.retired if key & 1 else acc
+            target.absorb(slice_report_batch(grouped, slice(lo, hi)))
+        c._absorbed += int(kept.size)
 
     # -- sealing ------------------------------------------------------------
 

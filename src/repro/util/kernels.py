@@ -47,7 +47,13 @@ This module replaces both:
   It tiles (candidates × reports) into blocks of at most 2¹⁶ cells over
   per-thread scratch (~1.1 MB, inside one core's L2), counts matches
   through a uint8 view into uint16 tile sums and adds them straight into
-  an int64 counts vector — the ``(n, d)`` matrix is never materialized.
+  int64 counts — the ``(n, d)`` matrix is never materialized.  Counts
+  are ``(k, d)`` rows, one per key segment of a key-sorted batch
+  (:meth:`FusedSupportKernel.segment_counts`): a tile inside one segment
+  reduces its report axis whole, a tile crossing segment boundaries
+  reduces at its in-tile cuts with ``np.add.reduceat``, and a plain
+  :meth:`~FusedSupportKernel.support_counts` call is the one-segment
+  case, with no per-tile segment lookup.
   Inputs outside that exact domain (``y ≥ g``, ``a`` or ``b ≥ p``,
   candidates ``≥ p``) are refused with ``ValueError``, never miscounted.
   Report tiles optionally fan out across a shared thread pool (the
@@ -125,6 +131,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.validation import check_segment_starts
 from repro.util.wht import pack_bit_planes, pack_sign_mask
 
 __all__ = [
@@ -606,8 +613,9 @@ class FusedSupportKernel:
 
     One instance is built per candidate list: the candidates are premixed
     into the prime field once, the divisibility-test constants for ``g``
-    are precomputed, and every :meth:`support_counts` call streams
-    report tiles through pooled per-thread scratch.  For value ``v`` and
+    are precomputed, and every :meth:`support_counts` or
+    :meth:`segment_counts` call streams report tiles through pooled
+    per-thread scratch.  For value ``v`` and
     report ``(s, y)`` the kernel counts ``h_s(v) == y`` matches — exactly
     the quantity ``_LocalHashing._reference_support_counts_for`` extracts
     from the materialized ``hash_cross`` matrix, bit for bit.
@@ -630,7 +638,7 @@ class FusedSupportKernel:
     Steps 2–4 run on uint32 planes.  Inputs outside that domain would
     break the bounds and could count false matches, so they are refused:
     candidates ``≥ p`` here, ``y ≥ g`` or ``a``/``b ≥ p`` in
-    :meth:`support_counts`.
+    :meth:`support_counts` and :meth:`segment_counts`.
 
     Instances are immutable decode *plans*: the candidate array is
     marked read-only and no per-batch state is ever stored on the
@@ -698,20 +706,54 @@ class FusedSupportKernel:
         ``values`` the perturbed hashed values in ``[0, g)``; anything
         outside those ranges raises ``ValueError``.  Returns float64
         counts — integers below 2⁵³, so float addition downstream stays
-        exact.
+        exact.  This is :meth:`segment_counts` with one segment.
         """
+        a, b, y = self._checked_reports(a, b, values)
+        return self._counts(a, b, y, None)[0]
+
+    def segment_counts(
+        self, a: np.ndarray, b: np.ndarray, values: np.ndarray, starts
+    ) -> np.ndarray:
+        """``(k, d)`` match counts, one row per key segment of the reports.
+
+        Segment ``i`` is reports ``[starts[i], starts[i + 1])`` (the last
+        runs to the end of the batch), so one tile sweep serves every
+        segment of a key-sorted batch: row ``i`` equals
+        :meth:`support_counts` of segment ``i`` alone, bit for bit.
+        ``starts`` must begin at 0, increase strictly and stay below the
+        report count; the report inputs are checked as
+        :meth:`support_counts` checks them.
+        """
+        a, b, y = self._checked_reports(a, b, values)
+        return self._counts(a, b, y, check_segment_starts(starts, a.shape[0]))
+
+    def _checked_reports(
+        self, a: np.ndarray, b: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Aligned uint64 report arrays inside the kernel's exact domain."""
         a = np.ascontiguousarray(a, dtype=np.uint64)
         b = np.ascontiguousarray(b, dtype=np.uint64)
         y = np.ascontiguousarray(values, dtype=np.uint64)
         if a.shape != b.shape or a.shape != y.shape or a.ndim != 1:
             raise ValueError("a, b and values must be aligned 1-D arrays")
-        d = self.num_candidates
-        counts = np.zeros(d, dtype=np.int64)
         n = a.shape[0]
         if n and np.maximum.reduce(y) >= self._g:
             raise ValueError(f"report values must lie in [0, {int(self._g)})")
         if n and max(np.maximum.reduce(a), np.maximum.reduce(b)) >= MERSENNE_P:
             raise ValueError("hash parameters a and b must lie in [0, 2^31 - 1)")
+        return a, b, y
+
+    def _counts(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        y: np.ndarray,
+        starts: np.ndarray | None,
+    ) -> np.ndarray:
+        """Float64 ``(k, d)`` counts; ``starts=None`` is one segment of all."""
+        d = self.num_candidates
+        n = a.shape[0]
+        counts = np.zeros((1 if starts is None else starts.shape[0], d), np.int64)
         if n and d:
             timing = _active_timing()
             threads = (
@@ -724,7 +766,7 @@ class FusedSupportKernel:
                     threads,
                     [
                         lambda lo=lo, hi=hi: self._count_span(
-                            a, b, y, lo, hi, timing
+                            a, b, y, lo, hi, starts, timing
                         )
                         for lo, hi in spans
                     ],
@@ -732,7 +774,7 @@ class FusedSupportKernel:
                 for future in futures:
                     counts += future.result()
             else:
-                counts += self._count_span(a, b, y, 0, n, timing)
+                counts += self._count_span(a, b, y, 0, n, starts, timing)
         return counts.astype(np.float64)
 
     @staticmethod
@@ -752,16 +794,23 @@ class FusedSupportKernel:
         y: np.ndarray,
         lo: int,
         hi: int,
+        starts: np.ndarray | None,
         timing: KernelTiming | None,
     ) -> np.ndarray:
-        """Count matches for reports ``[lo, hi)`` over all candidates.
+        """Count matches for reports ``[lo, hi)`` into ``(k, d)`` segment rows.
 
-        Layout: candidates are the leading axis so the per-candidate
-        count reduction sums along contiguous memory.  Scratch comes
-        from the per-thread pool — repeated small absorbs (streaming
-        panes) reuse the same buffers call after call, and because
-        dispatch is core-affine each worker's buffers are already sized
-        for its sticky span.  The arithmetic and its bounds are in the class
+        Layout: candidates are the leading axis of a tile so the
+        per-candidate count reduction sums along contiguous memory.  A
+        tile inside one segment reduces its whole report axis with
+        ``np.add.reduce``; a tile that crosses segment boundaries
+        reduces with ``np.add.reduceat`` at its in-tile cuts, one column
+        per segment it touches.  Either way the uint16 tile sums hold at
+        most ``_MAX_TILE_REPORTS`` matches.  Without ``starts`` (one
+        segment) no tile looks its segments up.  Scratch comes from the
+        per-thread pool — repeated small absorbs (streaming panes) reuse
+        the same buffers call after call, and because dispatch is
+        core-affine each worker's buffers are already sized for its
+        sticky span.  The arithmetic and its bounds are in the class
         docstring.
         """
         x = self._x
@@ -775,16 +824,27 @@ class FusedSupportKernel:
         match = _scratch("match", np.bool_, cells)
         # g − y ∈ [1, g]: the per-report offset of the divisibility test.
         offset = (self._g - y[lo:hi]).astype(np.uint32)
-        counts = np.zeros(d, dtype=np.int64)
+        counts = np.zeros((1 if starts is None else starts.shape[0], d), np.int64)
+        if starts is not None:
+            # Segment of each tile's first and last report.
+            tile_lo = np.arange(lo, hi, tile_r)
+            tile_hi = np.minimum(tile_lo + tile_r, hi)
+            first_seg = (np.searchsorted(starts, tile_lo, side="right") - 1).tolist()
+            last_seg = (np.searchsorted(starts, tile_hi - 1, side="right") - 1).tolist()
         hash_s = 0.0
         acc_s = 0.0
         tiles = 0
-        for r0 in range(lo, hi, tile_r):
+        for t, r0 in enumerate(range(lo, hi, tile_r)):
             r1 = min(r0 + tile_r, hi)
             w = r1 - r0
             ar = a[None, r0:r1]
             br = b[None, r0:r1]
             off = offset[None, r0 - lo : r1 - lo]
+            s0 = s1 = 0
+            if starts is not None:
+                s0, s1 = first_seg[t], last_seg[t]
+            if s0 != s1:
+                cuts = np.concatenate(([0], starts[s0 + 1 : s1 + 1] - r0))
             for c0 in range(0, d, tile_c):
                 c1 = min(c0 + tile_c, d)
                 shape = (c1 - c0, w)
@@ -808,9 +868,13 @@ class FusedSupportKernel:
                 np.left_shift(r, self._rotate_left, out=r)
                 np.bitwise_or(r, s, out=r)
                 np.less_equal(r, self._multiple_bound, out=eq)
-                counts[c0:c1] += np.add.reduce(
-                    eq.view(np.uint8), axis=1, dtype=np.uint16
-                )
+                hits = eq.view(np.uint8)
+                if s0 == s1:
+                    counts[s0, c0:c1] += np.add.reduce(hits, axis=1, dtype=np.uint16)
+                else:
+                    counts[s0 : s1 + 1, c0:c1] += np.add.reduceat(
+                        hits, cuts, axis=1, dtype=np.uint16
+                    ).T
                 t2 = _thread_clock()
                 hash_s += t1 - t0
                 acc_s += t2 - t1

@@ -23,6 +23,7 @@ __all__ = [
     "check_nonnegative_int",
     "check_in_range",
     "check_domain_values",
+    "check_segment_starts",
     "check_fraction",
     "as_value_array",
 ]
@@ -139,6 +140,33 @@ def check_domain_values(
         raise ValueError(
             f"{name} must lie in [0, {domain_size}), found out-of-domain value {bad}"
         )
+    return arr
+
+
+def check_segment_starts(
+    starts: Sequence[int] | np.ndarray, n: int, *, name: str = "starts"
+) -> np.ndarray:
+    """Validate the start offsets of consecutive non-empty segments of ``n`` items.
+
+    Segment ``i`` covers ``[starts[i], starts[i + 1])`` and the last one
+    runs to ``n``, so the offsets must begin at 0, increase strictly and
+    stay below ``n``; no items (``n == 0``) means no segments.  Returns
+    the offsets as an ``intp`` array.
+    """
+    arr = np.asarray(starts)
+    if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(
+            f"{name} must be a 1-D integer array, got {arr.dtype} {arr.shape}"
+        )
+    arr = arr.astype(np.intp, copy=False)
+    if n == 0 and arr.size == 0:
+        return arr
+    if arr.size == 0 or arr[0] != 0:
+        raise ValueError(f"{name} must begin at 0 to cover all {n} items")
+    if np.any(arr[1:] <= arr[:-1]):
+        raise ValueError(f"{name} must increase strictly (segments are non-empty)")
+    if arr[-1] >= n:
+        raise ValueError(f"{name} must stay below the item count {n}")
     return arr
 
 

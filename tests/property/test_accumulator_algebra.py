@@ -9,6 +9,9 @@ the system stacks), checked here for arbitrary shardings:
   the wire format, which captures the complete state);
 * ``from_bytes(to_bytes(acc))`` round-trips to identical estimates, and
   payloads from differently configured producers are rejected.
+
+The keyed absorb (``absorb_segments``) is pinned against its reference,
+one ``absorb`` per key slice, for every oracle and system stack.
 """
 
 import numpy as np
@@ -17,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimation import ORACLE_REGISTRY, make_oracle
+from repro.core.mechanism import PureFrequencyOracle
+from repro.core.timed import split_by_key
 from repro.systems.apple import CountMeanSketch, HadamardCountMeanSketch
 from repro.systems.apple.cms import CmsReports, HcmsReports
 from repro.systems.microsoft import DBitFlip, OneBitMean
@@ -208,3 +213,104 @@ def test_system_serialization_rejects_mismatched_configs():
     hcms = HadamardCountMeanSketch(100, 2.0, k=4, m=64, master_seed=1)
     with pytest.raises(ValueError):
         hcms.accumulator().from_bytes(payload)
+
+
+# -- keyed absorb --------------------------------------------------------------
+
+
+@st.composite
+def _keys(draw, n):
+    """One key per report: one segment, one report per segment, or random."""
+    shape = draw(st.sampled_from(["one", "singletons", "random"]))
+    if shape == "one":
+        return np.full(n, draw(st.integers(-3, 3)))
+    if shape == "singletons":
+        return np.random.default_rng(draw(st.integers(0, 99))).permutation(n) - 5
+    return np.asarray(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+
+
+def _check_keyed_absorb(factory, reports, slicer, keys, warm, prefill, share):
+    """``absorb_segments`` against per-key ``absorb``, via ``to_bytes``.
+
+    Targets may already hold state (``prefill``: absorb ``warm`` first)
+    and may repeat (segment ``i`` folds into target ``i % share``).
+    """
+    order, starts = split_by_key(keys)
+    segments = keys[order[starts]]
+
+    def targets():
+        accs = [factory() for _ in range(share)]
+        for acc, pre in zip(accs, prefill):
+            if pre:
+                acc.absorb(warm)
+        return accs
+
+    keyed = targets()
+    looped = targets()
+    keyed[0].absorb_segments(
+        [keyed[i % share] for i in range(len(starts))],
+        slicer(reports, order),
+        starts,
+    )
+    for i, key in enumerate(segments):
+        looped[i % share].absorb(slicer(reports, keys == key))
+    assert [acc.to_bytes() for acc in keyed] == [acc.to_bytes() for acc in looped]
+
+
+#: (oracle, candidate list) pairs; only pure oracles restrict to candidates.
+_KEYED_CASES = [(name, None) for name in sorted(ORACLE_REGISTRY)] + [
+    (name, (1, 4, 7))
+    for name in sorted(ORACLE_REGISTRY)
+    if issubclass(ORACLE_REGISTRY[name], PureFrequencyOracle)
+]
+
+
+@pytest.mark.parametrize("name,candidates", _KEYED_CASES)
+@given(
+    report_seed=st.integers(0, 2**31),
+    data=st.data(),
+    prefill=st.lists(st.booleans(), min_size=3, max_size=3),
+    share=st.integers(1, 3),
+)
+@settings(max_examples=8, deadline=None)
+def test_core_absorb_segments_equals_per_slice_absorb(
+    name, candidates, slice_reports, report_seed, data, prefill, share
+):
+    oracle = make_oracle(name, 9, 1.3)
+    values = np.random.default_rng(report_seed).integers(0, 9, size=60)
+    reports = oracle.privatize(values, rng=report_seed)
+    warm = oracle.privatize(values[:7], rng=report_seed + 1)
+    factory = (
+        oracle.accumulator
+        if candidates is None
+        else lambda: oracle.accumulator(np.array(candidates))
+    )
+    _check_keyed_absorb(
+        factory, reports, slice_reports, data.draw(_keys(60)), warm, prefill, share
+    )
+
+
+@pytest.mark.parametrize(
+    "label,factory,reports,slicer",
+    _SYSTEM_CASES,
+    ids=[c[0] for c in _SYSTEM_CASES],
+)
+@given(data=st.data(), prefill=st.lists(st.booleans(), min_size=2, max_size=2))
+@settings(max_examples=6, deadline=None)
+def test_system_absorb_segments_equals_per_slice_absorb(
+    label, factory, reports, slicer, data, prefill
+):
+    n = reports[0].shape[0] if isinstance(reports, tuple) else len(reports)
+    warm = slicer(reports, np.arange(n) < 9)
+    keys = data.draw(_keys(n))
+    _check_keyed_absorb(factory, reports, slicer, keys, warm, prefill, 2)
+
+
+def test_absorb_segments_refuses_bad_starts():
+    oracle = make_oracle("OLH", 9, 1.3)
+    reports = oracle.privatize(np.arange(9), rng=1)
+    for starts, count in (([1, 4], 2), ([0, 4, 4], 3), ([0, 9], 2), ([0, 3], 3)):
+        targets = [oracle.accumulator() for _ in range(count)]
+        with pytest.raises(ValueError):
+            targets[0].absorb_segments(targets, reports, starts)
+        assert all(acc.n_absorbed == 0 for acc in targets)

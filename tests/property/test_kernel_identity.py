@@ -7,6 +7,9 @@ This suite pins that promise:
 
 * the hashing substrate (premix, elementwise, cross, seeded family)
   over adversarial edge values — 0, 2⁶³−1, 2⁶⁴−1, multiples of p;
+* the segmented OLH decode (``segment_counts``): every row equals the
+  reference over its segment, for segments inside and across tiles,
+  one report per segment, and on the pooled path;
 * the oracle support paths (OLH/BLH fused kernel, bit-sliced Hadamard
   decode, unary integer column sums) including empty report batches,
   single-candidate lists and the BLH ``g = 2`` extreme — the bit-sliced
@@ -47,7 +50,9 @@ from repro.util.hashing import (
     hash_cross,
     hash_elementwise,
     hash_matrix,
+    params_from_seeds,
 )
+from repro.util.kernels import FusedSupportKernel
 
 P = int(MERSENNE_P)
 
@@ -192,6 +197,90 @@ class TestLocalHashingIdentity:
         assert np.array_equal(
             out, oracle._reference_support_counts_for(empty, np.arange(7))
         )
+
+
+def _segment_reference(oracle, reports, cands, starts):
+    """Per-segment ``_reference_support_counts_for``, stacked."""
+    bounds = list(starts) + [len(reports)]
+    return np.stack([
+        oracle._reference_support_counts_for(
+            _hashed_reports(reports.seeds[lo:hi], reports.values[lo:hi]), cands
+        )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ])
+
+
+class TestSegmentedKernelIdentity:
+    """``segment_counts`` rows against the reference on each segment."""
+
+    @pytest.mark.parametrize("g", [2, 5, 8, 1023])
+    @given(
+        seed=st.integers(0, 2**32),
+        cuts=st.sets(st.integers(1, 3499), max_size=40),
+        d=st.sampled_from([2, 7, 64]),
+        single=st.booleans(),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_segment_rows_match_reference(self, g, seed, cuts, d, single):
+        # 3,500 reports at d = 64 sweep four 1,024-report tiles, so
+        # random cuts land inside tiles and segments cross tile edges.
+        oracle = OptimalLocalHashing(d, 1.0, g=g)
+        reports = oracle.privatize(
+            np.random.default_rng(seed).integers(0, d, size=3500), rng=seed
+        )
+        cands = np.array([d - 1]) if single else np.arange(d)
+        starts = np.array([0, *sorted(cuts)])
+        assert np.array_equal(
+            oracle.segment_support_counts(reports, cands, starts),
+            _segment_reference(oracle, reports, cands, starts),
+        )
+
+    def test_one_report_segments_and_tile_edges(self):
+        oracle = OptimalLocalHashing(64, 2.0)  # 1,024 reports per tile
+        reports = oracle.privatize(np.arange(3100) % 64, rng=4)
+        cands = np.arange(64)
+        for starts in (
+            np.arange(3100),  # one report per segment
+            np.array([0, 1023, 1024, 1025, 2048, 3099]),  # on and off tile edges
+            np.array([0, 5, 3000]),  # segments spanning whole tiles
+        ):
+            assert np.array_equal(
+                oracle.segment_support_counts(reports, cands, starts),
+                _segment_reference(oracle, reports, cands, starts),
+            )
+
+    def test_pool_path_matches_reference(self):
+        # 33,000 reports × 64 candidates ≥ 2²¹ cells: the pooled path.
+        oracle = OptimalLocalHashing(64, 2.0)
+        reports = oracle.privatize(
+            np.random.default_rng(9).integers(0, 64, size=33_000), rng=9
+        )
+        cands = np.arange(64)
+        kernel = FusedSupportKernel(_premix(cands.astype(np.uint64)), oracle.g, threads=2)
+        a, b = params_from_seeds(reports.seeds)
+        starts = np.array([0, 100, 16_000, 16_500, 16_501, 32_999])
+        assert np.array_equal(
+            kernel.segment_counts(a, b, reports.values, starts),
+            _segment_reference(oracle, reports, cands, starts),
+        )
+
+    def test_refuses_bad_starts_and_out_of_domain_inputs(self):
+        kernel = FusedSupportKernel(np.arange(4, dtype=np.uint64), 8)
+        ok = np.array([1, 2, 3], dtype=np.uint64)
+        for starts in ([1], [0, 2, 2], [0, 3], [0, 2, 1], [], [0.0, 1.0], [[0]]):
+            with pytest.raises(ValueError):
+                kernel.segment_counts(ok, ok, ok, starts)
+        empty = np.zeros(0, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            kernel.segment_counts(empty, empty, empty, [0])
+        assert kernel.segment_counts(empty, empty, empty, []).shape == (0, 4)
+        for a, b, y in (
+            (ok, ok, np.array([0, 8, 1])),  # y = g
+            (np.array([1, P, 2], dtype=np.uint64), ok, ok),  # a = p
+            (ok, np.array([P, 0, 1], dtype=np.uint64), ok),  # b = p
+        ):
+            with pytest.raises(ValueError):
+                kernel.segment_counts(a, b, y, [0, 1])
 
 
 class TestHadamardIdentity:

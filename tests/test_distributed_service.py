@@ -12,13 +12,19 @@ reports, no matter how delivery was duplicated or interrupted.
 import json
 import math
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import make_oracle
-from repro.core.timed import TimedReports, slice_report_batch
+from repro.core.timed import (
+    TimedReports,
+    batch_length,
+    concat_timed_reports,
+    slice_report_batch,
+)
 from repro.protocol import (
     CombinerCore,
     FaultPlan,
@@ -171,13 +177,13 @@ def test_folder_dedups_and_ships_fresh_accumulators():
     assert folder.duplicates == 1
     assert folder.envelopes == 3
     assert folder.reports == 60
-    # Each ship hydrates back to exactly its chunk's fold.
+    # Each ship's row unstacks back to exactly its chunk's fold.
     total = oracle.accumulator()
     for ship in ships:
-        assert len(ship.panes) == 1
-        pane, payload = ship.panes[0]
-        assert pane is None  # unwindowed
-        total.merge(oracle.accumulator().from_bytes(payload))
+        assert len(ship.n) == 1
+        assert ship.pane_indices is None  # unwindowed
+        (part,) = oracle.accumulator().unstack_rows(ship.rows, ship.n)
+        total.merge(part)
     assert np.array_equal(total.finalize(), oracle.estimate_counts(reports))
 
 
@@ -188,7 +194,8 @@ def test_folder_splits_envelopes_into_event_panes():
     reports = oracle.privatize(np.arange(5) % 4, rng=1)
     folder = ShardFolder(oracle, window=window)
     ship = folder.offer("e0", TimedReports(timestamps=ts, reports=reports))
-    panes = {p: oracle.accumulator().from_bytes(b).n_absorbed for p, b in ship.panes}
+    parts = oracle.accumulator().unstack_rows(ship.rows, ship.n)
+    panes = {p: part.n_absorbed for p, part in zip(ship.pane_indices.tolist(), parts)}
     assert panes == {0: 3, 1: 1, 2: 1}
     assert ship.frontier == 25.0
     assert folder.frontier == 25.0
@@ -291,7 +298,94 @@ def test_coalesced_ship_sections_round_trip_the_wire():
     assert [eid for eid, _ in ship.sections] == ["a", "b"]
     header, arrays = _ship_to_message(ship)
     rebuilt = _ship_from_message(*decode_message(encode_message(header, arrays)))
-    assert rebuilt == ship
+    _assert_same_ship(rebuilt, ship)
+
+
+def _assert_same_ship(got, want):
+    """Field-by-field ship equality (the arrays make ``==`` unusable)."""
+    for field in ("worker_id", "envelope_id", "frontier", "num_reports",
+                  "sections", "kind", "config"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.n.dtype == np.int64 and np.array_equal(got.n, want.n)
+    if want.pane_indices is None:
+        assert got.pane_indices is None
+    else:
+        assert got.pane_indices.dtype == np.int64
+        assert np.array_equal(got.pane_indices, want.pane_indices)
+    assert set(got.rows) == set(want.rows)
+    for name, rows in want.rows.items():
+        assert got.rows[name].dtype == rows.dtype
+        assert np.array_equal(got.rows[name], rows)
+        assert not got.rows[name].flags.writeable
+
+
+def _wire_round_trip(ship):
+    from repro.protocol.service import _ship_from_message, _ship_to_message
+
+    header, arrays = _ship_to_message(ship)
+    return _ship_from_message(*decode_message(encode_message(header, arrays)))
+
+
+def test_ship_rows_round_trip_empty_unwindowed_and_negative_panes():
+    oracle = make_oracle("OLH", 8, 1.1)
+    reports = oracle.privatize(np.arange(6) % 8, rng=3)
+    empty = slice_report_batch(reports, np.arange(0))
+    # An empty envelope still ships a section, with no partials.
+    window = WindowSpec.event_tumbling(2.0)
+    folder = ShardFolder(oracle, window=window)
+    ship, _ = folder.offer_batch(
+        [("e", TimedReports(np.zeros(0), empty)),
+         ("f", TimedReports(np.array([-7.0, -0.5, 1.0, -7.5, 3.0, -0.1]), reports))]
+    )
+    assert ship.sections == (("e", 0), ("f", 4))
+    assert ship.pane_indices.tolist() == [-4, -1, 0, 1]  # pane order
+    assert ship.n.tolist() == [2, 2, 1, 1]
+    _assert_same_ship(_wire_round_trip(ship), ship)
+    only_empty, _ = folder.offer_batch([("g", TimedReports(np.zeros(0), empty))])
+    assert only_empty.sections == (("g", 0),) and only_empty.n.shape == (0,)
+    assert only_empty.rows["state"].shape == (0, 8)
+    _assert_same_ship(_wire_round_trip(only_empty), only_empty)
+    # Unwindowed: one partial per envelope and no pane vector.
+    flat = ShardFolder(oracle)
+    ship, _ = flat.offer_batch([("a", reports), ("b", empty)])
+    assert ship.sections == (("a", 1), ("b", 0)) and ship.pane_indices is None
+    _assert_same_ship(_wire_round_trip(ship), ship)
+    # Negative panes merge and seal like any other on the combiner.
+    core = CombinerCore(oracle, num_workers=1, window=window)
+    core.register(0)
+    core.receive(_wire_round_trip(folder.offer(
+        "h", TimedReports(np.array([-7.0, -0.5, -0.6]), slice_report_batch(reports, np.arange(3)))
+    )))
+    result = core_result_after_drain(core)
+    assert [w.pane for w in result.windows] == [-4, -1]
+    assert result.absorbed_reports == 3
+
+
+def test_malformed_ship_changes_nothing_then_intact_ship_merges():
+    # All or nothing: a ship failing validation on a later section must
+    # not merge its earlier sections or mark any member id seen.
+    oracle = make_oracle("OLH", 16, 1.0)
+    envelopes, reports = _envelopes(oracle, np.arange(40) % 16, 20)  # e0, e1
+    ship, _ = ShardFolder(oracle, worker_id=0).offer_batch(envelopes)
+    other = ShardFolder(make_oracle("OLH", 16, 2.0), worker_id=0).offer_batch(envelopes)[0]
+    negative = ship.n.copy()
+    negative[1] = -3
+    core = CombinerCore(oracle, num_workers=1)
+    core.register(0)
+    before = core.to_checkpoint()
+    for bad in (
+        replace(ship, n=ship.n[:1]),  # short n vector
+        replace(ship, n=negative),
+        replace(ship, config=other.config),  # foreign fingerprint
+    ):
+        with pytest.raises(ValueError):
+            core.receive(bad)
+        assert core.to_checkpoint() == before
+    assert core.receive(ship) is True
+    result = core_result_after_drain(core)
+    assert (result.absorbed_reports, result.late_reports, result.lost_reports) == (40, 0, 0)
+    assert result.duplicate_envelopes == 0
+    assert np.array_equal(result.estimated_counts, oracle.estimate_counts(reports))
 
 
 def test_refused_mixed_batch_counts_nothing_and_stays_retryable():
@@ -487,6 +581,62 @@ def test_inline_loopback_windowed_lateness_accounting():
     assert svc.merged_frontier == math.inf  # fully drained
     panes = [w.pane for w in svc.windows]
     assert panes == sorted(panes)
+
+
+@pytest.mark.parametrize("name", ["OLH", "OUE", "HR", "DE"])
+def test_windowed_loopback_rows_match_the_batch_per_pane(name):
+    # Sorted event times plus disorder inside the lateness: most
+    # 100-report envelopes span two panes, so every ship carries
+    # several stacked rows, and none of them is late.
+    from repro.protocol.service import _privatize_envelopes
+
+    oracle = make_oracle(name, 12, 1.2)
+    n, chunk, seed = 1200, 100, 43
+    gen = np.random.default_rng(47)
+    vals = gen.integers(0, 12, size=n)
+    ts = np.sort(gen.uniform(0.0, 60.0, size=n)) + gen.uniform(0.0, 2.0, size=n)
+    window = WindowSpec.event_tumbling(5.0, allowed_lateness=3.0)
+    base = run_sharded_collection(
+        oracle, vals, num_shards=2, chunk_size=chunk, rng=seed
+    )
+    svc = run_distributed_collection(
+        oracle,
+        vals,
+        num_ingest=2,
+        chunk_size=chunk,
+        rng=seed,
+        timestamps=ts,
+        window=window,
+        placement="contiguous",
+        backend="inline",
+    )
+    assert np.array_equal(base.estimated_counts, svc.estimated_counts)
+    assert (svc.absorbed_reports, svc.late_reports) == (n, 0)
+    # Rebuild each pane's reports from the orchestrator's envelopes.
+    gens = np.random.default_rng(seed).spawn(2)
+    envelopes = [
+        payload
+        for w, (shard_vals, shard_ts) in enumerate(
+            zip(np.array_split(vals, 2), np.array_split(ts, 2))
+        )
+        for _, payload in _privatize_envelopes(
+            oracle, w, shard_vals, shard_ts, chunk, gens[w]
+        )
+    ]
+    spans = [np.unique(window.pane_index(e.timestamps)).size for e in envelopes]
+    assert max(spans) >= 2
+    panes = sorted({p for e in envelopes for p in window.pane_index(e.timestamps)})
+    assert [w.pane for w in svc.windows] == panes
+    for sealed in svc.windows:
+        members = [
+            e.select(window.pane_index(e.timestamps) == sealed.pane)
+            for e in envelopes
+        ]
+        batch = concat_timed_reports([m for m in members if len(m)]).reports
+        assert sealed.users == batch_length(batch)
+        assert np.array_equal(
+            sealed.estimated_counts, oracle.estimate_counts(batch)
+        ), sealed.pane
 
 
 def test_process_backend_survives_worker_restart():
