@@ -6,6 +6,8 @@ kernel against their ``_reference_*`` twins on a fixed-seed batch (OLH
 at every kind of hash range ``g`` the kernel's divisibility test
 distinguishes: odd, a power of two, and even but not a power of two; the
 bit-sliced Hadamard kernel also at a 2^20 domain with 1024 candidates),
+the OLH kernel on one pool thread against two at ldpbench's batch and
+heavy-hitter chunk shapes, the OLH client ``privatize`` cost per user,
 the segmented OLH decode of a key-sorted batch against one fused call
 per segment (rows checked against the reference on every segment),
 cached-plan streaming absorption against per-pane plan rebuild, and the
@@ -32,7 +34,9 @@ from repro.core.hadamard import HadamardResponse
 from repro.core.mechanism import IndexedBitReports
 from repro.core.timed import slice_report_batch
 from repro.protocol import EventTimeCollector, WindowSpec
+from repro.util.hashing import _premix, params_from_seeds
 from repro.util.kernels import (
+    FusedSupportKernel,
     HadamardCandidatePlan,
     hadamard_support_counts,
     kernel_plan_cache,
@@ -48,6 +52,26 @@ def _time(fn):
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
+
+
+def _per_call(fn, calls=20, warm_seconds=0.0):
+    """``fn``'s result and its mean time over ``calls`` back-to-back calls.
+
+    Untimed calls warm up first: ``calls`` of them, and more until
+    ``warm_seconds`` have passed.  On a 2-vCPU virtual machine a vCPU
+    that has idled ran slow for its first ~2 s of load (two pool
+    threads measured 0.9-1.0x one thread there, then 1.4-1.8x), so a
+    cold timing understates what a second pool thread adds.
+    """
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        result = fn()
+    while time.perf_counter() - t0 < warm_seconds:
+        fn()
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return result, (time.perf_counter() - t0) / calls
 
 
 def main(argv=None) -> int:
@@ -78,8 +102,42 @@ def main(argv=None) -> int:
         )
     olh = OptimalLocalHashing(args.domain, args.epsilon)
 
+    # The OLH kernel on one pool thread against two, at the chunk shapes
+    # of ldpbench's batch_olh (62,500 reports x 64 candidates) and
+    # heavy_hitters (34,952 x 256 candidates of a 32-bit domain).
+    for n, domain, d in ((62_500, args.domain, 64), (34_952, 1 << 32, 256)):
+        wide = OptimalLocalHashing(domain, args.epsilon)
+        shape_cands = np.sort(rng.choice(domain, size=d, replace=False))
+        shape_reports = wide.privatize(
+            rng.choice(shape_cands, size=n), rng=rng
+        )
+        a, b = params_from_seeds(shape_reports.seeds)
+        premixed = _premix(shape_cands.astype(np.uint64))
+        counts = {}
+        seconds = {}
+        for threads in (1, 2):
+            kernel = FusedSupportKernel(premixed, wide.g, threads=threads)
+            counts[threads], seconds[threads] = _per_call(
+                lambda: kernel.support_counts(a, b, shape_reports.values),
+                warm_seconds=2.5,
+            )
+        identical = np.array_equal(counts[1], counts[2])
+        ok &= identical
+        print(
+            f"olh-threads n={n} d={d} g={wide.g}: 1 thread {seconds[1]:.4f}s "
+            f"2 threads {seconds[2]:.4f}s ratio {seconds[1] / seconds[2]:.2f}x "
+            f"bit_identical={identical}"
+        )
+
+    # Client privatize cost per user, from a chunk of 256 users (the
+    # service's envelopes) to batch_olh's 62,500.
+    for n in (256, 4096, 62_500):
+        client_values = rng.integers(0, args.domain, size=n)
+        _, priv_s = _per_call(lambda: olh.privatize(client_values, rng=rng))
+        print(f"olh-privatize n={n} d={args.domain}: {priv_s / n * 1e9:.1f} ns/user")
+
     # Segmented decode: a key-sorted batch cut into segments of 1-400
-    # reports, so most tiles (1024 reports at d=64) hold several
+    # reports, so most tiles (2,048 reports at d=64) hold several
     # segments and many segments cross a tile edge.
     seg_n = min(args.users, 50_000)
     seg_reports = olh.privatize(values[:seg_n], rng=rng)

@@ -26,7 +26,9 @@ import numpy as np
 
 from repro.core.mechanism import HashedReports, PureFrequencyOracle
 from repro.util.hashing import (
+    _hash_premixed,
     _premix,
+    _premix_table,
     _reference_hash_cross,
     hash_elementwise,
     params_from_seeds,
@@ -67,16 +69,25 @@ class _LocalHashing(PureFrequencyOracle):
         values: Sequence[int] | np.ndarray,
         rng: np.random.Generator | int | None = None,
     ) -> HashedReports:
-        """Hash with a fresh per-user seed, then GRR over the hash range."""
+        """Hash with a fresh per-user seed, then GRR over the hash range.
+
+        A batch at least as long as the domain gathers its premixed
+        values from the cached ``_premix(arange(d))`` table.  GRR runs in
+        place: a lie skips the true hash, and kept reports overwrite it.
+        """
         vals, gen = self._prepare(values, rng)
         n = vals.shape[0]
-        seeds = gen.integers(0, 2**63 - 1, size=n, dtype=np.int64).astype(np.uint64)
-        hashed = hash_elementwise(seeds, vals, self.g)
+        seeds = gen.integers(0, 2**63 - 1, size=n, dtype=np.int64).view(np.uint64)
+        if self._domain_size <= n:
+            premixed = _premix_table(self._domain_size).take(vals)
+        else:
+            premixed = _premix(vals)
+        hashed = _hash_premixed(seeds, premixed, self.g)
         keep = gen.random(n) < self._p
         lies = gen.integers(0, self.g - 1, size=n)
-        lies = np.where(lies >= hashed, lies + 1, lies)
-        perturbed = np.where(keep, hashed, lies).astype(np.int64)
-        return HashedReports(seeds=seeds, values=perturbed)
+        lies += lies >= hashed
+        np.copyto(lies, hashed, where=keep)
+        return HashedReports(seeds=seeds, values=lies)
 
     def _check_reports(self, reports: HashedReports) -> None:
         if not isinstance(reports, HashedReports):

@@ -2439,7 +2439,16 @@ async def _run_service(
     checkpoint_path: str | None,
     checkpoint_every_ships: int,
     timeout: float,
-) -> tuple["ServiceResult", float]:
+    outcome: list,
+) -> None:
+    """Run the service over the envelopes; append ``(result, wall)`` to ``outcome``.
+
+    The result does not leave as the task's result: on Python 3.11 and
+    3.12, ``asyncio.run``'s teardown formats the repr of its SIGINT
+    handler, which holds the main task, and a finished task's repr
+    builds its result's whole repr, every sealed window's arrays
+    included, before truncating it.
+    """
     num_workers = len(worker_envelopes)
     client_retry = RetryPolicy()
     if faults is not None:
@@ -2554,7 +2563,7 @@ async def _run_service(
         live_tasks = [t for t in daemon_tasks if not t.done()]
         if live_tasks:
             await asyncio.wait_for(asyncio.gather(*live_tasks), timeout)
-        return combiner.result(), wall
+        outcome.append((combiner.result(), wall))
     finally:
         for task in daemon_tasks:
             if not task.done():
@@ -2784,7 +2793,8 @@ def run_distributed_collection(
                     f"{wf.after_envelopes} envelopes but that worker only "
                     f"ships {len(worker_envelopes[wf.worker])}"
                 )
-    result, wall = asyncio.run(
+    outcome: list[tuple[ServiceResult, float]] = []
+    asyncio.run(
         _run_service(
             oracle,
             worker_envelopes,
@@ -2798,8 +2808,10 @@ def run_distributed_collection(
             checkpoint_path=checkpoint_path,
             checkpoint_every_ships=checkpoint_every_ships,
             timeout=timeout,
+            outcome=outcome,
         )
     )
+    [(result, wall)] = outcome
     if result.evicted_workers:
         for worker_id in result.evicted_workers:
             ledger.add_note(

@@ -16,12 +16,14 @@ Two collection shapes are offered:
   its own mergeable :class:`~repro.core.mechanism.Accumulator`, shard
   accumulators are merged into a *fresh* accumulator (never into a
   shard's own state), and a single ``finalize`` produces the estimates.
-  Raw report batches never outlive their chunk, so peak memory is
-  ``O(workers · chunk)`` regardless of the population size.
+  Raw report batches never outlive the chunk after theirs, so peak
+  memory is ``O(workers · chunk)`` regardless of the population size.
 
 Shards can be collected on three executor backends:
 
-* ``"serial"`` — in the calling thread, one shard after another;
+* ``"serial"`` — in the calling thread, one shard after another, with
+  one client thread per shard privatizing the next chunk while the
+  calling thread absorbs the current one (two chunks in flight);
 * ``"thread"`` — a thread pool (NumPy kernels release the GIL for most
   of the work, so encode scales);
 * ``"process"`` — a process pool: each worker receives the oracle
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,6 +89,12 @@ class CollectionStats:
 @dataclass(frozen=True)
 class ShardStats:
     """Operational metrics of one shard of a sharded collection.
+
+    ``encode_seconds``/``decode_seconds`` sum, over the shard's chunks,
+    the wall time of each ``privatize`` and each ``absorb``.  On the
+    serial backend a client thread privatizes (and times) the next chunk
+    while the shard absorbs the current one, so the two overlap and
+    their sum can exceed the shard's wall time.
 
     ``event_span`` is the ``(earliest, latest)`` event timestamp the
     shard's reports carry when the collection was given timestamped
@@ -251,29 +260,56 @@ def _collect_shard(
     shard_values: np.ndarray,
     chunk_size: int,
     gen: np.random.Generator,
+    client_ahead: bool = False,
 ):
-    """Privatize one shard in bounded-memory chunks into an accumulator."""
+    """Privatize one shard in bounded-memory chunks into an accumulator.
+
+    With ``client_ahead`` (the serial backend) and at least two chunks,
+    one client thread privatizes chunk ``i + 1`` while this thread
+    absorbs chunk ``i``, so decode and privatization share the cores and
+    at most two chunks' reports are alive at once.  Only the client
+    thread draws from ``gen``, in chunk order, so every report batch is
+    the one the inline loop makes.  A one-chunk shard privatizes inline.
+    An error in either thread propagates once the client has stopped.
+    """
     acc = oracle.accumulator()
+    chunks = [
+        shard_values[start : start + chunk_size]
+        for start in range(0, shard_values.shape[0], chunk_size)
+    ]
+
+    def privatize(chunk):
+        t0 = time.perf_counter()
+        reports = oracle.privatize(chunk, rng=gen)
+        return reports, time.perf_counter() - t0
+
     encode = decode = 0.0
     bytes_per_report = 0.0
-    num_chunks = 0
-    with kernel_timing_scope() as kernel_timing:
-        for start in range(0, shard_values.shape[0], chunk_size):
-            chunk = shard_values[start : start + chunk_size]
+    with ExitStack() as stack:
+        kernel_timing = stack.enter_context(kernel_timing_scope())
+        client = None
+        if client_ahead and len(chunks) > 1:
+            client = stack.enter_context(
+                ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-client")
+            )
+            ahead = client.submit(privatize, chunks[0])
+        for i, chunk in enumerate(chunks):
+            if client is None:
+                reports, seconds = privatize(chunk)
+            else:
+                reports, seconds = ahead.result()
+                if i + 1 < len(chunks):
+                    ahead = client.submit(privatize, chunks[i + 1])
             t0 = time.perf_counter()
-            reports = oracle.privatize(chunk, rng=gen)
-            t1 = time.perf_counter()
             acc.absorb(reports)
-            t2 = time.perf_counter()
-            encode += t1 - t0
-            decode += t2 - t1
+            decode += time.perf_counter() - t0
+            encode += seconds
             bytes_per_report = report_bytes(reports, int(chunk.shape[0]))
-            num_chunks += 1
             del reports  # the accumulator is the only state that survives
     stats = ShardStats(
         shard_index=shard_index,
         num_users=int(shard_values.shape[0]),
-        num_chunks=num_chunks,
+        num_chunks=len(chunks),
         encode_seconds=encode,
         decode_seconds=decode,
         bytes_per_report=bytes_per_report,
@@ -328,7 +364,12 @@ def run_sharded_collection(
     Users are split into ``num_shards`` contiguous shards.  Each shard
     privatizes its clients in chunks of at most ``chunk_size``, folding
     every chunk's reports into the shard's accumulator and discarding
-    them — the whole report batch is never materialized.  Shard
+    them — the whole report batch is never materialized.  On the serial
+    backend one client thread privatizes chunk ``i + 1`` while the
+    calling thread absorbs chunk ``i``, so privatization and decode
+    share the cores and at most two chunks' reports are alive; a shard
+    of one chunk privatizes inline.  The thread and process backends
+    already overlap shards, and privatize inline.  Shard
     accumulators are then merged *into a fresh accumulator* in shard
     order and finalized once; no shard's state is mutated by the merge,
     so per-shard accumulators (and anything derived from them) remain
@@ -344,7 +385,7 @@ def run_sharded_collection(
         Number of independent shard accumulators (≥ 1).
     chunk_size:
         Maximum clients privatized at once within a shard (the memory
-        bound).
+        bound: the serial backend holds at most two chunks' reports).
     workers:
         Pool size for the ``"thread"``/``"process"`` backends.  ``None``
         defaults to ``num_shards`` there; the serial backend ignores it.
@@ -432,7 +473,10 @@ def run_sharded_collection(
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(lambda args: _collect_shard(*args), shard_args))
     else:
-        outcomes = [_collect_shard(*args) for args in shard_args]
+        outcomes = [
+            _collect_shard(*args, client_ahead=chosen == "serial")
+            for args in shard_args
+        ]
 
     t_merge = time.perf_counter()
     merged = oracle.accumulator()

@@ -985,16 +985,22 @@ class _FixedPaneGeometry(_PaneGeometry):
     def _charge_panes(self, panes: np.ndarray) -> None:
         """Atomically charge the panes some reports land in (all-or-nothing).
 
-        A batch inside one pane (every in-order count slice) skips the
-        sort that finding distinct panes costs, and panes already
-        charged (by a driver's ``charge_for``) cost no ledger savepoint,
-        which copies the whole account.
+        A batch whose panes ``[min, max]`` are all charged already (by
+        ``charge_for`` ahead of ``absorb``) returns before finding its
+        distinct panes, and a batch inside one pane (every in-order count
+        slice) skips the sort that finding them costs.  Panes already
+        charged cost no ledger savepoint, which copies the whole account.
         """
         if panes.size == 0:
             return
         lo, hi = int(panes.min()), int(panes.max())
+        charged = self._charged
+        if hi - lo < len(charged) and all(
+            p in charged for p in range(lo, hi + 1)
+        ):
+            return
         distinct = [lo] if lo == hi else np.unique(panes).tolist()
-        fresh = [p for p in distinct if p not in self._charged]
+        fresh = [p for p in distinct if p not in charged]
         if not fresh:
             return
         token = self._c.ledger.savepoint()

@@ -21,15 +21,22 @@ rates match the classical formula.  The pair ``(a, b)`` is derived from a
 single 64-bit seed, so "a hash function" is just an integer that fits in
 a report.
 
-Both reductions are evaluated division-free (:mod:`repro.util.kernels`):
-``mod p`` by the branch-free Mersenne shift-add fold and ``mod g`` by the
-Granlund–Montgomery multiply-shift magic.  The arithmetic is exact, so
-every function here is bit-identical to the ``_reference_*`` twins that
-keep the original two-hardware-``%`` implementations — the property
-suite pins that equivalence over edge values and every oracle.
+No reduction divides element by element: ``mod p`` is the branch-free
+Mersenne shift-add fold and ``mod g`` the Granlund–Montgomery
+multiply-shift magic (:mod:`repro.util.kernels`) — or, on the client
+path (``params_from_seeds``, ``hash_elementwise``), ``x − ⌊x / m⌋·m``
+with NumPy's vectorized ``floor_divide`` by a scalar.  The client path
+runs its ufuncs in place over the ``(a, b)`` arrays and one scratch
+array, and clients whose batch covers the domain gather premixed values
+from a cached table.  The arithmetic is exact, so every function here is
+bit-identical to the ``_reference_*`` twins that keep the original
+two-hardware-``%`` implementations — the property suite pins that
+equivalence over edge values and every oracle.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,17 +55,34 @@ __all__ = [
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_XORSHIFTS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
+_U31 = np.uint64(31)
+_P_MINUS_1 = MERSENNE_P - np.uint64(1)
+_ONE = np.uint64(1)
 
 
-def _splitmix(x: np.ndarray) -> np.ndarray:
-    """One round of the splitmix64 finalizer (vectorized, uint64 in/out)."""
-    x = (x + _GOLDEN).astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x *= _MIX1
-    x ^= x >> np.uint64(27)
-    x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return x
+def _splitmix(
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """One round of the splitmix64 finalizer (vectorized, uint64 in/out).
+
+    Runs its ufuncs in place on ``out`` (which may alias ``x``), with
+    ``scratch`` holding the shifted words; either is allocated when
+    ``None``.  ``scratch`` must alias neither.
+    """
+    if out is None:
+        out = np.empty(np.shape(x), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.add(x, _GOLDEN, out=out)
+    for shift, mix in _XORSHIFTS:
+        np.right_shift(out, shift, out=scratch)
+        np.bitwise_xor(out, scratch, out=out)
+        if mix is not None:
+            np.multiply(out, mix, out=out)
+    return out
 
 
 def _premix(values: np.ndarray) -> np.ndarray:
@@ -66,11 +90,25 @@ def _premix(values: np.ndarray) -> np.ndarray:
 
     Applied before every affine evaluation so arbitrary 64-bit domains
     (packed strings, sketch ids) enter the prime field without aliasing
-    and without key structure.
+    and without key structure.  Allocates the result and one scratch
+    array; ``values`` is never written.
     """
     x = np.asarray(values, dtype=np.uint64)
-    mixed = _splitmix(x)
-    return mersenne_reduce(mixed, out=mixed)
+    scratch = np.empty(x.shape, dtype=np.uint64)
+    mixed = _splitmix(x, scratch=scratch)
+    return mersenne_reduce(mixed, out=mixed, scratch=scratch)
+
+
+@functools.lru_cache(maxsize=8)
+def _premix_table(domain_size: int) -> np.ndarray:
+    """Read-only ``_premix(arange(domain_size))``, built once per size.
+
+    Clients whose batch is at least as long as the domain gather their
+    premixed values from it instead of mixing each value again.
+    """
+    table = _premix(np.arange(domain_size, dtype=np.uint64))
+    table.setflags(write=False)
+    return table
 
 
 def _reference_premix(values: np.ndarray) -> np.ndarray:
@@ -83,14 +121,52 @@ def params_from_seeds(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derive affine parameters ``(a, b)`` from 64-bit seeds.
 
     ``a`` lands in ``[1, p)`` and ``b`` in ``[0, p)``.  Deterministic:
-    the same seed always yields the same hash function.
+    the same seed always yields the same hash function.  Runs in place
+    over ``a``, ``b`` and one scratch array.  ``m mod (p − 1)`` is
+    computed as ``m − ⌊m / (p − 1)⌋·(p − 1)``: NumPy's uint64 ``%`` by a
+    scalar divides element by element, while ``floor_divide`` by a
+    scalar is vectorized.
     """
     s = np.asarray(seeds, dtype=np.uint64)
-    m1 = _splitmix(s)
-    m2 = _splitmix(m1)
-    a = (m1 % (MERSENNE_P - np.uint64(1))) + np.uint64(1)
-    b = mersenne_reduce(m2)
+    a = np.empty(s.shape, dtype=np.uint64)
+    b = np.empty_like(a)
+    scratch = np.empty_like(a)
+    _splitmix(s, out=a, scratch=scratch)
+    _splitmix(a, out=b, scratch=scratch)
+    mersenne_reduce(b, out=b, scratch=scratch)
+    np.floor_divide(a, _P_MINUS_1, out=scratch)
+    np.multiply(scratch, _P_MINUS_1, out=scratch)
+    np.subtract(a, scratch, out=a)
+    np.add(a, _ONE, out=a)
     return a, b
+
+
+def _hash_premixed(seeds: np.ndarray, x: np.ndarray, g: int) -> np.ndarray:
+    """``h_seed_i(x_i)`` for premixed ``x`` in ``[0, p)``, as int64.
+
+    Evaluated in place over the ``(a, b)`` arrays.  Since
+    ``a·x + b ≤ p(p − 1) < 2⁶²``, one Mersenne fold lands in
+    ``[0, 2p − 2]`` and the wrapping ``min(f, f − p)`` of the fused
+    kernel gives the canonical ``h mod p``; ``mod g`` goes through a
+    vectorized ``floor_divide`` as in :func:`params_from_seeds`.
+    """
+    a, b = params_from_seeds(seeds)
+    if x.shape != a.shape:
+        raise ValueError(
+            f"seeds and values must align, got {a.shape} vs {x.shape}"
+        )
+    g64 = np.uint64(g)
+    np.multiply(a, x, out=a)
+    np.add(a, b, out=a)
+    np.bitwise_and(a, MERSENNE_P, out=b)
+    np.right_shift(a, _U31, out=a)
+    np.add(a, b, out=a)
+    np.subtract(a, MERSENNE_P, out=b)
+    np.minimum(a, b, out=a)
+    np.floor_divide(a, g64, out=b)
+    np.multiply(b, g64, out=b)
+    np.subtract(a, b, out=a)
+    return a.view(np.int64)
 
 
 def hash_elementwise(
@@ -102,15 +178,7 @@ def hash_elementwise(
     their own function.  Returns int64 hashes in ``[0, range_size)``.
     """
     g = check_positive_int(range_size, name="range_size")
-    a, b = params_from_seeds(seeds)
-    x = _premix(values)
-    if x.shape != a.shape:
-        raise ValueError(
-            f"seeds and values must align, got {a.shape} vs {x.shape}"
-        )
-    h = a * x + b
-    mersenne_reduce(h, out=h)
-    return apply_mod(h, g).astype(np.int64)
+    return _hash_premixed(seeds, _premix(values), g)
 
 
 def _reference_hash_elementwise(

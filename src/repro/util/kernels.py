@@ -44,8 +44,9 @@ This module replaces both:
     rotate moves nonzero low bits above the bound).  At ``k = 0`` the
     rotate is the identity, so one compare path serves every ``g``.
 
-  It tiles (candidates × reports) into blocks of at most 2¹⁶ cells over
-  per-thread scratch (~1.1 MB, inside one core's L2), counts matches
+  It tiles (candidates × reports) into blocks of at most 2¹⁷ cells over
+  per-thread scratch (~2.1 MB; the size is set by how often two pool
+  threads must re-take the GIL, see ``_TILE_CELLS``), counts matches
   through a uint8 view into uint16 tile sums and adds them straight into
   int64 counts — the ``(n, d)`` matrix is never materialized.  Counts
   are ``(k, d)`` rows, one per key segment of a key-sorted batch
@@ -163,7 +164,12 @@ _ZERO = np.uint64(0)
 # ---------------------------------------------------------------------------
 
 
-def mersenne_reduce(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mersenne_reduce(
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """``x mod (2³¹ − 1)`` for any uint64 input, without division.
 
     Because ``2³¹ ≡ 1 (mod p)``, splitting ``x = hi·2³¹ + lo`` gives
@@ -172,21 +178,24 @@ def mersenne_reduce(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     subtract lands in ``[0, p)`` — the canonical residue, bit-identical
     to ``x % p``.
 
-    ``out`` may alias ``x`` (the common in-place use); one temporary the
-    shape of ``x`` is allocated for the low halves.
+    ``out`` may alias ``x`` (the common in-place use).  The low halves go
+    to ``scratch``, a uint64 array the shape of ``x`` aliasing neither
+    (allocated when ``None``); the conditional subtract is the wrapping
+    ``min(x, x − p)``, so no other temporary is made.
     """
     x = np.asarray(x, dtype=np.uint64)
     if out is None:
         out = x.copy()
     elif out is not x:
         np.copyto(out, x)
-    lo = np.bitwise_and(out, MERSENNE_P)
+    lo = np.bitwise_and(out, MERSENNE_P, out=scratch)
     np.right_shift(out, _U31, out=out)
     np.add(out, lo, out=out)
     np.bitwise_and(out, MERSENNE_P, out=lo)
     np.right_shift(out, _U31, out=out)
     np.add(out, lo, out=out)
-    np.subtract(out, MERSENNE_P, out=out, where=out >= MERSENNE_P)
+    np.subtract(out, MERSENNE_P, out=lo)
+    np.minimum(out, lo, out=out)
     return out
 
 
@@ -574,8 +583,8 @@ def _submit_to_shared_pool(threads: int, calls) -> list:
 #: stop re-allocating tile buffers, and no two tasks can share a buffer
 #: because a task runs on exactly one thread.  Buffers grow to the
 #: largest tile a thread has seen and are bounded by the tile geometry:
-#: ~1.1 MB per thread for the local-hashing kernel (``_TILE_CELLS``
-#: cells × 18 bytes) and ~8 MB for the bit-sliced Hadamard kernel
+#: ~2.1 MB per thread for the local-hashing kernel (``_TILE_CELLS``
+#: cells × 16 bytes) and ~8 MB for the bit-sliced Hadamard kernel
 #: (``_HAD_TILE_CELLS`` words × two uint64 planes).
 _scratch_local = threading.local()
 
@@ -594,10 +603,20 @@ def _scratch(name: str, dtype, cells: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: Tile geometry: candidates × reports blocks of at most ``_TILE_CELLS``
-#: cells.  A tile's four scratch planes (uint64 product, two uint32
-#: residue planes, bool match: 18 bytes a cell, ~1.1 MB) stay inside one
-#: core's L2 cache instead of streaming through the shared last level.
-_TILE_CELLS = 1 << 16
+#: cells.  The size is set by the GIL, not by the cache: each tile makes
+#: 14 ufunc calls, and each call releases and re-takes the GIL, so two
+#: pool threads decoding at once wait on each other less the more cells
+#: a call covers.  On a 2-vCPU host, at ldpbench ``batch_olh``'s chunk
+#: shape (62,500 reports × 64 candidates, g = 8), two threads ran 0.89×,
+#: 1.29×, 1.39× and 1.49× one thread at 2¹⁴, 2¹⁶, 2¹⁷ and 2¹⁹ cells,
+#: against 1.88× for two processes, while one thread's time stayed flat
+#: from 2¹⁵ to 2¹⁹.  The tile's scratch (uint64 product and two uint32
+#: residue planes, the bool match plane inside the spare one: 16 bytes a
+#: cell, ~2.1 MB a thread) caps it here: at 2¹⁸ cells and above the
+#: decoding threads' scratch grew by a further ≥ 6.6 MB, past the 10%
+#: peak-RSS budget of ldpbench ``heavy_hitters`` (56–57 MiB); 2¹⁷ cost
+#: it 2.6–3.8 MiB.
+_TILE_CELLS = 1 << 17
 #: Reports per tile; must stay ≤ 2¹⁶ − 1 so the uint16 per-tile match
 #: sums cannot overflow.
 _MAX_TILE_REPORTS = 1 << 14
@@ -821,7 +840,9 @@ class FusedSupportKernel:
         product = _scratch("product", np.uint64, cells)
         residue = _scratch("residue", np.uint32, cells)
         spare = _scratch("spare", np.uint32, cells)
-        match = _scratch("match", np.bool_, cells)
+        # The match plane reuses the spare plane's bytes: the compare
+        # that writes it reads only the residue plane.
+        match = spare.view(np.bool_)
         # g − y ∈ [1, g]: the per-report offset of the divisibility test.
         offset = (self._g - y[lo:hi]).astype(np.uint32)
         counts = np.zeros((1 if starts is None else starts.shape[0], d), np.int64)

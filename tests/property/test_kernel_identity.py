@@ -9,7 +9,11 @@ This suite pins that promise:
   over adversarial edge values — 0, 2⁶³−1, 2⁶⁴−1, multiples of p;
 * the segmented OLH decode (``segment_counts``): every row equals the
   reference over its segment, for segments inside and across tiles,
-  one report per segment, and on the pooled path;
+  one report per segment, and on the pooled path — including cuts on
+  and beside tile edges derived from the kernel's ``_TILE_CELLS``;
+* the client path (``params_from_seeds``, ``_premix``,
+  ``hash_elementwise`` and OLH/BLH ``privatize`` on both its premix
+  paths) against the previous out-of-place formulas;
 * the oracle support paths (OLH/BLH fused kernel, bit-sliced Hadamard
   decode, unary integer column sums) including empty report batches,
   single-candidate lists and the BLH ``g = 2`` extreme — the bit-sliced
@@ -52,6 +56,7 @@ from repro.util.hashing import (
     hash_matrix,
     params_from_seeds,
 )
+from repro.util import kernels
 from repro.util.kernels import FusedSupportKernel
 
 P = int(MERSENNE_P)
@@ -582,3 +587,177 @@ def test_estimates_schedule_independent_for_systems(monkeypatch):
     fanned = _all_estimates()
     for s, f in zip(serial, fanned):
         assert np.array_equal(s, f)
+
+
+# -- tile edges derived from the kernel's tile size ------------------------
+
+
+def _tile_reports(d):
+    """Reports per tile of the fused kernel at ``d`` candidates."""
+    return FusedSupportKernel(np.arange(d, dtype=np.uint64), 2)._tile_reports
+
+
+@pytest.mark.parametrize("d", [64, 256])
+def test_segment_cuts_on_and_across_tile_edges(d):
+    """Cuts on, beside and across three tile edges of today's tile size."""
+    oracle = OptimalLocalHashing(d, 2.0)
+    tile = _tile_reports(d)
+    n = 3 * tile + tile // 2
+    reports = oracle.privatize(
+        np.random.default_rng(d).integers(0, d, size=n), rng=d + 1
+    )
+    cands = np.arange(d)
+    edges = [tile, 2 * tile, 3 * tile]
+    for starts in (
+        np.array([0, *edges]),  # segments on the edges
+        np.array([0, *[e - 1 for e in edges], n - 1]),  # one short of each
+        np.array([0, *[e + 1 for e in edges]]),  # one past each
+        np.array([0, tile // 2, tile + tile // 2, 3 * tile + 1]),  # across
+        np.array([0, 1, n - 1]),  # one segment spans every edge
+    ):
+        assert np.array_equal(
+            oracle.segment_support_counts(reports, cands, starts),
+            _segment_reference(oracle, reports, cands, starts),
+        )
+    assert np.array_equal(
+        oracle.support_counts_for(reports, cands),
+        oracle._reference_support_counts_for(reports, cands),
+    )
+
+
+@pytest.mark.parametrize("d", [64, 256])
+def test_pool_path_across_tile_edges_at_two_threads(d):
+    """The pooled path at ``threads=2``, with cuts beside tile edges."""
+    oracle = OptimalLocalHashing(d, 2.0)
+    tile = _tile_reports(d)
+    # Past the inline threshold, and long enough for two report spans.
+    n = max(
+        4 * tile,
+        -(-kernels._MIN_PARALLEL_CELLS // d),
+        2 * kernels._MAX_TILE_REPORTS,
+    ) + 3
+    assert len(FusedSupportKernel._report_spans(n, 2)) == 2
+    reports = oracle.privatize(
+        np.random.default_rng(d + 2).integers(0, d, size=n), rng=d + 3
+    )
+    cands = np.arange(d)
+    kernel = FusedSupportKernel(_premix(cands.astype(np.uint64)), oracle.g, threads=2)
+    a, b = params_from_seeds(reports.seeds)
+    half = n // 2  # the two spans meet here
+    starts = np.array([0, tile - 1, tile, 2 * tile + 1, half, half + 1, n - tile])
+    assert np.array_equal(
+        kernel.segment_counts(a, b, reports.values, starts),
+        _segment_reference(oracle, reports, cands, starts),
+    )
+    assert np.array_equal(
+        kernel.support_counts(a, b, reports.values),
+        oracle._reference_support_counts_for(reports, cands),
+    )
+
+
+# -- client hashing against the previous formulas --------------------------
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _previous_splitmix(x):
+    """The out-of-place splitmix64 finalizer the in-place one replaced."""
+    x = (x + _GOLDEN).astype(np.uint64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _previous_params(seeds):
+    m1 = _previous_splitmix(np.asarray(seeds, dtype=np.uint64))
+    m2 = _previous_splitmix(m1)
+    return m1 % (MERSENNE_P - np.uint64(1)) + np.uint64(1), m2 % MERSENNE_P
+
+
+def _previous_hash(seeds, values, g):
+    a, b = _previous_params(seeds)
+    x = _previous_splitmix(np.asarray(values, dtype=np.uint64)) % MERSENNE_P
+    return ((a * x + b) % MERSENNE_P % np.uint64(g)).astype(np.int64)
+
+
+def _previous_privatize(oracle, values, seed):
+    """OLH/BLH ``privatize`` as two ``np.where`` calls and an ``astype``."""
+    gen = np.random.default_rng(seed)
+    n = values.shape[0]
+    seeds = gen.integers(0, 2**63 - 1, size=n, dtype=np.int64).astype(np.uint64)
+    hashed = _previous_hash(seeds, values, oracle.g)
+    keep = gen.random(n) < oracle.p_star
+    lies = gen.integers(0, oracle.g - 1, size=n)
+    lies = np.where(lies >= hashed, lies + 1, lies)
+    return seeds, np.where(keep, hashed, lies).astype(np.int64)
+
+
+_EDGE_SEEDS = np.array([0, 2**63 - 2], dtype=np.uint64)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(0, 300),
+    g=st.sampled_from([2, 3, 8, 56, 1023]),
+    d=st.sampled_from([2, 5, 64, 1 << 20]),
+)
+@settings(max_examples=40, deadline=None)
+def test_client_hashing_matches_previous_formulas(seed, n, g, d):
+    rng = np.random.default_rng(seed)
+    seeds = np.concatenate(
+        [_EDGE_SEEDS, EDGE_INPUTS, rng.integers(0, 2**63 - 1, size=n).astype(np.uint64)]
+    )
+    values = np.concatenate(
+        [[0, d - 1], rng.integers(0, d, size=seeds.shape[0] - 2)]
+    ).astype(np.int64)
+    a, b = params_from_seeds(seeds)
+    prev_a, prev_b = _previous_params(seeds)
+    assert np.array_equal(a, prev_a) and np.array_equal(b, prev_b)
+    assert np.array_equal(_premix(values), _reference_premix(values))
+    assert np.array_equal(
+        _premix(values), _previous_splitmix(values.astype(np.uint64)) % MERSENNE_P
+    )
+    hashed = hash_elementwise(seeds, values, g)
+    assert hashed.dtype == np.int64
+    assert np.array_equal(hashed, _reference_hash_elementwise(seeds, values, g))
+    assert np.array_equal(hashed, _previous_hash(seeds, values, g))
+
+
+@pytest.mark.parametrize("oracle_cls,epsilon", [
+    (OptimalLocalHashing, 2.0),  # g = 8
+    (OptimalLocalHashing, 0.5),  # g = 3
+    (BinaryLocalHashing, 1.0),  # g = 2: one possible lie
+])
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 200), wide=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_privatize_matches_previous_formulas(oracle_cls, epsilon, seed, n, wide):
+    # ``wide`` puts the domain above the batch (the direct premix path);
+    # otherwise d ≤ n and values come from the premix table.
+    d = n + 1 + seed % 1000 if wide else max(2, min(n, 2 + seed % 64))
+    oracle = oracle_cls(d, epsilon)
+    values = np.random.default_rng(seed).integers(0, d, size=n)
+    values[0] = 0
+    values[-1] = d - 1
+    first = oracle.privatize(values, rng=seed)
+    kept = (first.seeds.copy(), first.values.copy())
+    prev_seeds, prev_values = _previous_privatize(oracle, values, seed)
+    assert first.seeds.dtype == np.uint64 and first.values.dtype == np.int64
+    assert np.array_equal(first.seeds, prev_seeds)
+    assert np.array_equal(first.values, prev_values)
+    # A second call must not write into the first call's reports.
+    oracle.privatize(values[::-1].copy(), rng=seed + 1)
+    assert np.array_equal(first.seeds, kept[0])
+    assert np.array_equal(first.values, kept[1])
+
+
+def test_premix_table_is_shared_and_read_only():
+    from repro.util.hashing import _premix_table
+
+    table = _premix_table(64)
+    assert table is _premix_table(64)
+    assert not table.flags.writeable
+    assert np.array_equal(table, _reference_premix(np.arange(64)))

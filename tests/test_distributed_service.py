@@ -556,6 +556,29 @@ def test_inline_loopback_bit_identical_with_duplicates():
     assert svc.ledger is not None and svc.ledger.total_epsilon > 0
 
 
+def test_run_builds_no_repr_of_its_result(monkeypatch):
+    # On Python 3.11 and 3.12, asyncio.run's teardown formats the repr
+    # of its SIGINT handler, which holds the main task; a task whose
+    # result was the ServiceResult built the whole result's repr there.
+    # reprlib swallows the error, so the calls are counted.
+    from repro.protocol.service import ServiceResult
+
+    calls = []
+
+    def _refuse_repr(self):
+        calls.append(self)
+        raise AssertionError("ServiceResult repr built")
+
+    monkeypatch.setattr(ServiceResult, "__repr__", _refuse_repr)
+    oracle = make_oracle("OLH", 8, 1.0)
+    vals = np.random.default_rng(8).integers(0, 8, size=600)
+    svc = run_distributed_collection(
+        oracle, vals, num_ingest=2, chunk_size=100, rng=9, backend="inline"
+    )
+    assert svc.absorbed_reports == 600
+    assert calls == []
+
+
 def test_inline_loopback_windowed_lateness_accounting():
     rng = np.random.default_rng(9)
     n = 1500

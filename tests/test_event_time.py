@@ -448,6 +448,26 @@ class TestEventTimeAccounting:
             "window-0[0,1)", "window-1[1,2)", "window-2[2,3)"
         }
 
+    def test_envelope_charges_a_new_pane_between_charged_panes(self):
+        # The first envelope charges panes 0 and 2; the second spans
+        # panes 0..2, so only its interior pane 1 is new, and it must be
+        # charged even though both ends of the span already are.
+        oracle = make_oracle("OLH", 8, 1.0)
+        col = EventTimeCollector(
+            oracle,
+            WindowSpec.event_tumbling(1.0, allowed_lateness=10.0),
+            user_model="disjoint_users",
+        )
+        reports = oracle.privatize(np.arange(5), rng=60)
+        first = slice_report_batch(reports, slice(0, 2))
+        col.absorb(TimedReports(np.array([0.5, 2.5]), first))
+        assert len(col.ledger) == 2
+        second = slice_report_batch(reports, slice(2, 5))
+        col.absorb(TimedReports(np.array([0.6, 1.5, 2.6]), second))
+        assert {s.group for s in col.ledger.spends} == {
+            "window-0[0,1)", "window-1[1,2)", "window-2[2,3)"
+        }
+
     def test_disjoint_groups_distinct_at_epoch_timestamps(self):
         # Regression: %g bound formatting alone collides adjacent
         # windows at epoch-second magnitudes; the pane index keeps the

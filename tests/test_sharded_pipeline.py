@@ -15,6 +15,8 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -297,3 +299,85 @@ class TestReportBytes:
 
     def test_float_matrix_counts_full_width(self):
         assert report_bytes(np.zeros((5, 4), dtype=np.float64), 5) == 32.0
+
+
+class _FailingOLH(OptimalLocalHashing):
+    """OLH whose ``privatize`` raises on its third call."""
+
+    def __init__(self, domain_size, epsilon):
+        super().__init__(domain_size, epsilon)
+        self.calls = 0
+
+    def privatize(self, values, rng=None):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("client failed on chunk 3")
+        return super().privatize(values, rng=rng)
+
+
+class _AliveTrackingOLH(OptimalLocalHashing):
+    """OLH that counts its report batches still alive at each privatize."""
+
+    def __init__(self, domain_size, epsilon):
+        super().__init__(domain_size, epsilon)
+        self.batches = []
+        self.alive = []
+        self.threads = []
+
+    def privatize(self, values, rng=None):
+        reports = super().privatize(values, rng=rng)
+        self.batches.append(weakref.ref(reports))
+        self.alive.append(sum(ref() is not None for ref in self.batches))
+        self.threads.append(threading.get_ident())
+        return reports
+
+
+class TestClientAhead:
+    """The serial backend privatizes the next chunk on a client thread."""
+
+    def test_privatize_error_propagates_and_stops_the_client(self):
+        oracle = _FailingOLH(16, 1.0)
+        values = np.arange(16).repeat(50)  # one shard of 8 chunks
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 3"):
+            run_sharded_collection(
+                oracle, values, num_shards=1, chunk_size=100,
+                backend="serial", rng=2,
+            )
+        assert oracle.calls == 3  # the client stopped at the failure
+        assert threading.active_count() == before
+
+    def test_at_most_two_chunks_of_reports_are_alive(self):
+        oracle = _AliveTrackingOLH(16, 1.0)
+        values = np.random.default_rng(4).integers(0, 16, size=2400)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            stats = run_sharded_collection(
+                oracle, values, num_shards=2, chunk_size=100, backend="serial",
+                rng=5,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [s.num_chunks for s in stats.shards] == [12, 12]
+        assert len(oracle.alive) == 24
+        assert max(oracle.alive) <= 2
+        assert threading.get_ident() not in oracle.threads
+        # The client thread draws from each shard's generator in chunk
+        # order, so the estimates are the thread backend's.
+        threaded = run_sharded_collection(
+            OptimalLocalHashing(16, 1.0), values, num_shards=2, chunk_size=100,
+            backend="thread", workers=2, rng=5,
+        )
+        assert np.array_equal(stats.estimated_counts, threaded.estimated_counts)
+
+    def test_one_chunk_shard_starts_no_thread(self):
+        oracle = _AliveTrackingOLH(16, 1.0)
+        values = np.arange(16).repeat(10)
+        before = threading.active_count()
+        stats = run_sharded_collection(
+            oracle, values, num_shards=2, chunk_size=1000, backend="serial", rng=6
+        )
+        assert [s.num_chunks for s in stats.shards] == [1, 1]
+        assert oracle.threads == [threading.get_ident()] * 2
+        assert threading.active_count() == before
