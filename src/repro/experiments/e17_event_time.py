@@ -4,15 +4,14 @@ Two production claims of the event-time engine, measured on one drifting
 1M-user OLH stream:
 
 1. **O(state) sliding snapshots** — the same count-driven sliding
-   stream through the two-stack (DABA-lite) pane store and the PR 3
-   ring, at growing pane counts (``size/stride``).  The ring pays
-   O(panes) accumulator merges per snapshot, so its ``snapshot_ms``
-   grows with the pane count; the two-stack store answers every
-   snapshot from two pre-merged components, so its latency stays flat.
-   Both stores consume identical reports and must produce bit-identical
-   window estimates (asserted here — the two-stack trick is a pure
-   refactoring of the merge order, which the exact accumulator algebra
-   makes invisible).
+   stream through the two-stack (DABA-lite) pane store at growing pane
+   counts (``size/stride``).  The store answers every snapshot from two
+   pre-merged components, so ``snapshot_ms`` stays flat however many
+   panes a window spans.  Every pane count privatizes the same slices
+   of the same stream, so the cumulative views must be bit-identical
+   across pane counts (asserted here — how many panes the store holds
+   only regroups merges, which the exact accumulator algebra makes
+   invisible).
 
 2. **Watermark lateness accounting** — the same stream stamped with
    event timestamps and arrival-delayed: a fraction of reports arrive
@@ -24,11 +23,9 @@ Two production claims of the event-time engine, measured on one drifting
    ``absorbed + late == n`` on each row — and window error is measured
    against each window's own event-time truth.
 
-Expected shape: ring ``snapshot_ms`` grows roughly linearly in panes
-while two-stack stays flat (at 64 panes the gap is an order of
-magnitude); in the lateness sweep ``late`` falls monotonically as
-``allowed_lateness`` grows, hitting zero when it exceeds the injected
-delay bound.
+Expected shape: ``snapshot_ms`` stays flat from 4 to 64 panes; in the
+lateness sweep ``late`` falls monotonically as ``allowed_lateness``
+grows, hitting zero when it exceeds the injected delay bound.
 """
 
 from __future__ import annotations
@@ -90,7 +87,7 @@ def run(
     drift_steps: int = 16,
     seed: int = 17,
 ) -> Table:
-    """Two-stack vs ring latency sweep + watermark lateness sweep."""
+    """Two-stack latency sweep over pane counts + watermark lateness sweep."""
     values = drifting_zipf(domain_size, n, seed, drift_steps=drift_steps)
     oracle = OptimalLocalHashing(domain_size, epsilon)
 
@@ -118,48 +115,42 @@ def run(
         f"Exp({mean_delay}) event-clock units"
     )
     table.add_note(
-        "latency rows: identical reports through both pane stores — "
-        "estimates are bit-identical, only snapshot cost differs "
-        "(ring O(panes), two-stack O(1) merges)."
+        "latency rows: identical reports at every pane count — cumulative "
+        "views are bit-identical; each snapshot merges at most two "
+        "pre-merged components (two-stack store)."
     )
 
-    # -- sweep 1: snapshot latency vs pane count, two-stack vs ring --------
+    # -- sweep 1: snapshot latency vs pane count ---------------------------
     num_rolls = max(pane_counts) * 2
     stride = max(n // num_rolls, 1)
+    first = None
     for panes in pane_counts:
         spec = WindowSpec.sliding(panes * stride, stride)
-        estimates = {}
-        for aggregation in ("two_stack", "ring"):
-            t0 = time.perf_counter()
-            result = stream_collection(
-                oracle,
-                values,
-                window=spec,
-                chunk_size=chunk_size,
-                rng=seed + 1,
-                aggregation=aggregation,
-            )
-            wall = time.perf_counter() - t0
-            estimates[aggregation] = result
-            table.add_row(
-                "latency",
-                f"{aggregation} {panes}p",
-                n,
-                wall,
-                n / wall if wall > 0 else 0.0,
-                float(np.mean([s.snapshot_seconds for s in result])) * 1e3,
-                max(s.pane_count for s in result),
-                0.0,
-                len(result),
-                result.absorbed_reports,
-                0,
-            )
-        two_stack, ring = estimates["two_stack"], estimates["ring"]
-        assert len(two_stack) == len(ring)
-        for a, b in zip(two_stack, ring):
-            assert np.array_equal(a.window_estimates, b.window_estimates), (
-                "two-stack and ring window estimates diverged"
-            )
+        t0 = time.perf_counter()
+        result = stream_collection(
+            oracle, values, window=spec, chunk_size=chunk_size, rng=seed + 1
+        )
+        wall = time.perf_counter() - t0
+        table.add_row(
+            "latency",
+            f"two_stack {panes}p",
+            n,
+            wall,
+            n / wall if wall > 0 else 0.0,
+            float(np.mean([s.snapshot_seconds for s in result])) * 1e3,
+            max(s.pane_count for s in result),
+            0.0,
+            len(result),
+            result.absorbed_reports,
+            0,
+        )
+        if first is None:
+            first = result
+        assert len(result) == len(first)
+        for a, b in zip(result, first):
+            assert np.array_equal(
+                a.cumulative_estimates, b.cumulative_estimates
+            ), "cumulative views diverged across pane counts"
 
     # -- sweep 2: event-time watermark lateness ----------------------------
     event_times, arrival = delayed_arrival_order(

@@ -224,13 +224,11 @@ class FaultPlan:
             raise ValueError(
                 f"duplicate_every must be >= 1, got {self.duplicate_every}"
             )
-        seen_ships = []
         for at in self.crash_combiner_at_ships:
             if int(at) < 1:
                 raise ValueError(
                     f"crash_combiner_at_ships ordinals must be >= 1, got {at}"
                 )
-            seen_ships.append(int(at))
         workers = [wf.worker for wf in self.worker_faults]
         if len(set(workers)) != len(workers):
             raise ValueError("at most one WorkerFault per worker")

@@ -494,7 +494,7 @@ class CombinerCore:
         self._evicted: set[int] = set()
         self._eviction_log: list[tuple[int, float]] = []
         self._seen: set[str] = set()
-        self._panes: dict[int | None, Any] = {}
+        self._panes: dict[int, Any] = {}  # open panes (windowed only)
         self._sealed_through: int | None = None  # last sealed pane index
         self._windows: list[SealedWindow] = []
         self._total = oracle.accumulator()
@@ -716,11 +716,12 @@ class CombinerCore:
                     # reports never reach estimates.
                     self.late += part.n_absorbed
                     continue
-                held = self._panes.get(pane)
-                if held is None:
-                    self._panes[pane] = part
-                else:
-                    held.merge(part)
+                if pane is not None:
+                    held = self._panes.get(pane)
+                    if held is None:
+                        self._panes[pane] = part
+                    else:
+                        held.merge(part)
                 self._total.merge(part)
                 self.absorbed += part.n_absorbed
         self._seal()
@@ -955,9 +956,13 @@ class CombinerCore:
                 arrays["total"].tobytes()
             )
             for pane, name in header["panes"]:
-                core._panes[
-                    None if pane is None else int(pane)
-                ] = oracle.accumulator().from_bytes(arrays[name].tobytes())
+                if pane is None:
+                    # Older checkpoints of an unwindowed combiner carry
+                    # its partials twice: this pane equals the total.
+                    continue
+                core._panes[int(pane)] = oracle.accumulator().from_bytes(
+                    arrays[name].tobytes()
+                )
         except ValueError as exc:
             raise CheckpointError(
                 f"checkpoint accumulators do not match this oracle: {exc}"
@@ -1465,13 +1470,11 @@ class IngestDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         credit_window: int = DEFAULT_CREDIT_WINDOW,
-        expected_clients: int = 1,
         retry: RetryPolicy = RetryPolicy(),
         micro_batch: int = 0,
         heartbeat_interval: float | None = None,
     ) -> None:
         check_positive_int(credit_window, name="credit_window")
-        check_positive_int(expected_clients, name="expected_clients")
         if micro_batch:
             check_positive_int(micro_batch, name="micro_batch")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
@@ -1485,7 +1488,6 @@ class IngestDaemon:
         self._port = port
         self._credit_window = int(credit_window)
         self._micro_batch = int(micro_batch)
-        self._expected_clients = int(expected_clients)
         self._retry = retry
         self._heartbeat_interval = heartbeat_interval
         self._server: asyncio.AbstractServer | None = None
@@ -1499,7 +1501,6 @@ class IngestDaemon:
         self._at_risk: dict[str, ShipPayload] = {}
         self._drain_future: asyncio.Future | None = None
         self._drain_sent = False
-        self._clients_done = 0
         self._done = asyncio.Event()
         self._tracker = _HandlerTracker()
         self._closing = False
@@ -1525,7 +1526,7 @@ class IngestDaemon:
         return self._address
 
     async def run(self) -> None:
-        """Serve until every expected client sent eof and the drain acked."""
+        """Serve until the client sent eof and the drain acked."""
         await self._done.wait()
         if self._failure is not None:
             raise self._failure
@@ -1881,9 +1882,7 @@ class IngestDaemon:
                     await flush_batch()
                     write_message(writer, {"type": "eof_ack"})
                     await writer.drain()
-                    self._clients_done += 1
-                    if self._clients_done >= self._expected_clients:
-                        await self._drain()
+                    await self._drain()
                     break
                 else:
                     raise ServiceError(f"unknown client message {kind!r}")
@@ -2435,7 +2434,6 @@ async def _run_service(
     micro_batch: int,
     faults: FaultPlan | None,
     lease_timeout: float | None,
-    heartbeat_interval: float | None,
     checkpoint_path: str | None,
     checkpoint_every_ships: int,
     timeout: float,
@@ -2450,6 +2448,8 @@ async def _run_service(
     included, before truncating it.
     """
     num_workers = len(worker_envelopes)
+    # Idle workers renew their lease four times per lease period.
+    heartbeat_interval = None if lease_timeout is None else lease_timeout / 4.0
     client_retry = RetryPolicy()
     if faults is not None:
         client_retry = faults.retry_policy(client_retry)
@@ -2594,7 +2594,6 @@ def run_distributed_collection(
     ledger: PrivacyLedger | None = None,
     faults: FaultPlan | None = None,
     lease_timeout: float | None = None,
-    heartbeat_interval: float | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every_ships: int = 8,
     timeout: float = 300.0,
@@ -2654,11 +2653,9 @@ def run_distributed_collection(
         stops waiting on its frontier, its unacked reports are counted
         ``lost`` (``absorbed + late + lost == n``), and the result is
         marked ``degraded`` with the eviction noted in the ledger.
-    heartbeat_interval:
-        Idle-timer cadence at which each ingest worker reports its
-        frontier to the combiner (keeping its lease fresh even when no
-        uploads arrive).  Defaults to ``lease_timeout / 4`` when leases
-        are on.
+        With leases on, each ingest worker reports its frontier to the
+        combiner every ``lease_timeout / 4`` of idle link, keeping its
+        lease fresh even when no uploads arrive.
     checkpoint_path:
         When set, the combiner snapshots its full merge state to this
         file (atomic rename) and a combiner started over an existing
@@ -2698,10 +2695,6 @@ def run_distributed_collection(
         raise ValueError("a windowed collection needs timestamps")
     if lease_timeout is not None and not lease_timeout > 0:
         raise ValueError(f"lease_timeout must be > 0, got {lease_timeout!r}")
-    if heartbeat_interval is not None and not heartbeat_interval > 0:
-        raise ValueError(
-            f"heartbeat_interval must be > 0, got {heartbeat_interval!r}"
-        )
     check_positive_int(checkpoint_every_ships, name="checkpoint_every_ships")
     if faults is not None:
         if faults.crash_combiner_at_ships and checkpoint_path is None:
@@ -2734,8 +2727,6 @@ def run_distributed_collection(
                     "a 'kill' WorkerFault needs backend='inline' (the dead "
                     "worker is simulated inside the daemon)"
                 )
-    if heartbeat_interval is None and lease_timeout is not None:
-        heartbeat_interval = lease_timeout / 4.0
     if micro_batch:
         check_positive_int(micro_batch, name="micro_batch")
     vals = np.asarray(values)
@@ -2804,7 +2795,6 @@ def run_distributed_collection(
             micro_batch=int(micro_batch or 0),
             faults=faults,
             lease_timeout=lease_timeout,
-            heartbeat_interval=heartbeat_interval,
             checkpoint_path=checkpoint_path,
             checkpoint_every_ships=checkpoint_every_ships,
             timeout=timeout,

@@ -47,18 +47,17 @@ Both clocks share one pane algebra, a :class:`WindowSpec`:
   until then and rewritten to the final window identity at seal
   (:meth:`~repro.core.budget.PrivacyLedger.reassign_group`).
 
-Sliding snapshots are **O(state), independent of the pane count**: the
-closed panes live in a two-stack (DABA-lite) queue aggregate — a back
-stack with one running merge, a front stack of suffix merges, flipped
-back-to-front amortized O(1) merges per pane — so a window view is one
-copy plus at most two merges however many panes the window spans.  The
-PR 3 pane ring (O(panes) merges per snapshot) is kept as
-``aggregation="ring"`` for the E17 baseline.  Both stores exploit the
-non-destructive merge algebra from PR 2 (pure ``finalize``, ``merge``
-never mutates its argument), and since the exact-summation
-``SummationAccumulator`` every window estimate — SHE included — is
-**bit-identical** to the one-shot batch estimate over that window's
-reports, whichever store produced it.
+Every geometry holds its own open panes and files a pane in the store
+only once it is sealed.  Sliding snapshots are **O(state), independent
+of the pane count**: the sealed panes live in a two-stack (DABA-lite)
+queue aggregate — a back stack with one running merge, a front stack of
+suffix merges, flipped back-to-front amortized O(1) merges per pane —
+so a window view is one copy plus at most two merges however many panes
+the window spans.  The store exploits the non-destructive merge algebra
+(pure ``finalize``, ``merge`` never mutates its argument), and since
+the exact-summation ``SummationAccumulator`` every window estimate —
+SHE included — is **bit-identical** to the one-shot batch estimate over
+that window's reports.
 
 Privacy accounting is threaded through the same engine: the collector
 charges the mechanism's declared spend
@@ -88,8 +87,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from abc import ABC, abstractmethod
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -112,17 +109,12 @@ from repro.util.rng import ensure_generator
 from repro.util.validation import check_positive_int
 
 __all__ = [
-    "AGGREGATIONS",
     "COMPOSITIONS",
-    "PANE_STORES",
     "USER_MODELS",
     "WindowSpec",
     "StreamSnapshot",
     "StreamResult",
-    "PaneStore",
-    "RingPaneStore",
     "TwoStackPaneStore",
-    "resolve_pane_store",
     "EventTimeCollector",
     "stream_collection",
     "stream_reports",
@@ -133,9 +125,6 @@ USER_MODELS = ("same_users", "disjoint_users")
 
 #: Composition rules a stream may report/enforce its budget under.
 COMPOSITIONS = ("basic", "advanced")
-
-#: Pane-store implementations behind sliding windows.
-AGGREGATIONS = ("two_stack", "ring")
 
 _KINDS = (
     "tumbling",
@@ -607,129 +596,11 @@ def _merged_estimates(accumulators) -> tuple[int, np.ndarray | None]:
     return users, merged.finalize()
 
 
-class PaneStore(ABC):
-    """Common interface of the pane stores behind every collector.
-
-    A store owns the live pane accumulators (oldest first) plus the
-    ``retired`` accumulator — panes that left every window, folded
-    together for the cumulative view.  Implementations trade snapshot
-    cost for bookkeeping (ring: O(panes) merges per view; two-stack:
-    O(1)); which one serves a given spec is the
-    :func:`resolve_pane_store` policy, not the caller's ``aggregation``
-    verbatim.
-
-    ``coalesce`` merges two *adjacent* live panes into one.  The merge
-    algebra already made this safe — regrouping exact-sum accumulators
-    is bit-identical to having absorbed into one pane all along — but
-    the store structure did not: each implementation must keep its own
-    cached aggregates valid across the splice.  The data-driven session
-    geometry relies on it when a late report bridges two open sessions.
-    """
-
-    def __init__(self, factory) -> None:
-        self._factory = factory
-        self.retired = factory()
-
-    @abstractmethod
-    def push(self, pane) -> None:
-        """File the newest closed pane."""
-
-    @abstractmethod
-    def evict_oldest(self) -> None:
-        """Fold the oldest live pane into the retired (cumulative-only) state."""
-
-    @property
-    @abstractmethod
-    def count(self) -> int:
-        """Live panes currently held."""
-
-    @abstractmethod
-    def window_components(self) -> list:
-        """Accumulators whose merge covers every live pane (oldest first)."""
-
-    @abstractmethod
-    def live_panes(self) -> list:
-        """The raw live pane accumulators, oldest first."""
-
-    @abstractmethod
-    def coalesce(self, i: int, j: int) -> None:
-        """Merge adjacent live panes ``i`` and ``j == i + 1`` into one.
-
-        Indices are oldest-first positions as returned by
-        :meth:`live_panes`; pane ``j`` is folded into pane ``i`` via the
-        non-destructive merge and removed.
-        """
-
-    def _check_adjacent(self, i: int, j: int) -> None:
-        if j != i + 1:
-            raise ValueError(
-                f"coalesce merges adjacent panes: j must be i + 1, got ({i}, {j})"
-            )
-        if i < 0 or j >= self.count:
-            raise ValueError(
-                f"pane indices ({i}, {j}) out of range for {self.count} live panes"
-            )
-
-
-class RingPaneStore(PaneStore):
-    """PR 3 pane store: a ring of panes, merged on demand.
-
-    ``window_components`` returns every live pane — a snapshot must
-    merge O(panes) accumulators, the baseline E17 benchmarks against.
-    The ring is also the only *random-access* store: with no cached
-    aggregates to invalidate, panes can be inserted mid-ring and
-    absorbed into in place — which is what the session geometry needs
-    for its open panes (:func:`resolve_pane_store` routes every
-    single-pane and session spec here).
-    """
-
-    def __init__(self, factory) -> None:
-        super().__init__(factory)
-        self._ring: deque = deque()
-
-    def push(self, pane) -> None:
-        """File the newest closed pane."""
-        self._ring.append(pane)
-
-    def insert_pane(self, index: int, pane) -> None:
-        """Splice a pane in mid-ring (sessions can open out of start order)."""
-        self._ring.insert(index, pane)
-
-    def pane_at(self, index: int):
-        """One live pane by position, without the O(panes) list copy.
-
-        The session geometry reads a single pane per cluster; building
-        ``live_panes()`` for each read would cost O(panes) allocations
-        per envelope.
-        """
-        return self._ring[index]
-
-    def evict_oldest(self) -> None:
-        """Fold the oldest live pane into the retired (cumulative-only) state."""
-        self.retired.merge(self._ring.popleft())
-
-    @property
-    def count(self) -> int:
-        return len(self._ring)
-
-    def window_components(self) -> list:
-        """Accumulators whose merge covers every live closed pane (oldest first)."""
-        return list(self._ring)
-
-    def live_panes(self) -> list:
-        return list(self._ring)
-
-    def coalesce(self, i: int, j: int) -> None:
-        self._check_adjacent(i, j)
-        self._ring[i].merge(self._ring[j])
-        del self._ring[j]
-
-
-class TwoStackPaneStore(PaneStore):
-    """Two-stack (DABA-lite) pane store: O(state) window views.
+class TwoStackPaneStore:
+    """Two-stack (DABA-lite) store of sealed panes: O(state) window views.
 
     The classic queue-from-two-stacks trick lifted to the merge
-    monoid.  Closed panes land on a **back** list whose running merge
+    monoid.  Sealed panes land on a **back** list whose running merge
     ``back_agg`` is maintained incrementally (one merge per pane).
     Evictions pop a **front** list of ``(pane, suffix_agg)`` pairs,
     where each ``suffix_agg`` covers its pane and every younger front
@@ -741,17 +612,22 @@ class TwoStackPaneStore(PaneStore):
     snapshots O(state) instead of O(panes·state).
 
     Raw panes ride along in both lists so eviction can fold the exact
-    departing pane into ``retired`` (the cumulative view needs it).
+    departing pane into ``retired`` — every pane that left all windows,
+    folded together for the cumulative view.  Open panes never live
+    here: each geometry holds its own and files a pane only once it is
+    sealed (a session geometry folds its sealed panes straight into
+    ``retired``).
     """
 
     def __init__(self, factory) -> None:
-        super().__init__(factory)
+        self._factory = factory
+        self.retired = factory()
         self._back: list = []  # oldest back pane first
         self._back_agg = factory()
         self._front: list = []  # (pane, suffix_agg); oldest pane last
 
     def push(self, pane) -> None:
-        """File the newest closed pane (one O(state) merge)."""
+        """File the newest sealed pane (one O(state) merge)."""
         self._back.append(pane)
         self._back_agg.merge(pane)
 
@@ -776,78 +652,29 @@ class TwoStackPaneStore(PaneStore):
 
     @property
     def count(self) -> int:
+        """Sealed panes currently held (not yet retired)."""
         return len(self._front) + len(self._back)
 
     def window_components(self) -> list:
-        """Two accumulators whose merge covers every live closed pane."""
+        """Two accumulators whose merge covers every held pane."""
         components = []
         if self._front:
             components.append(self._front[-1][1])
         components.append(self._back_agg)
         return components
 
-    def live_panes(self) -> list:
-        """Raw panes oldest first (the front list stores newest-first)."""
-        return [pane for pane, _ in reversed(self._front)] + list(self._back)
-
-    def coalesce(self, i: int, j: int) -> None:
-        self._check_adjacent(i, j)
-        split = len(self._front)
-        if i >= split:
-            # Both panes sit on the back list: merge in place.  The
-            # running back_agg covers the union of the back panes'
-            # reports, and regrouping panes never changes that union
-            # (exact-sum algebra), so it stays valid untouched.
-            bi = i - split
-            self._back[bi].merge(self._back[bi + 1])
-            del self._back[bi + 1]
-            return
-        # A front pane is involved: its cached suffix merges go stale,
-        # so rebuild from the surviving panes.  Coalesces are rare
-        # bridge events; paying O(panes) here keeps every view O(1).
-        panes = self.live_panes()
-        panes[i].merge(panes[j])
-        del panes[j]
-        self._front = []
-        self._back = []
-        self._back_agg = self._factory()
-        for pane in panes:
-            self.push(pane)
-
-
-#: Pane-store implementations, keyed by ``aggregation`` name.
-PANE_STORES: dict[str, type[PaneStore]] = {
-    "ring": RingPaneStore,
-    "two_stack": TwoStackPaneStore,
-}
-
-
-def resolve_pane_store(spec: WindowSpec, aggregation: str) -> str:
-    """Policy: which pane store actually serves a spec.
-
-    Single-pane windows (tumbling, cumulative, gapped — and session,
-    whose live window is always one data-driven pane) never merge
-    several closed panes at snapshot time, so the two-stack machinery
-    could only add copies — the plain ring is strictly cheaper there.
-    Session geometries additionally *require* the ring's random access
-    (mid-ring insertion, in-place absorb, coalescing).  Multi-pane
-    fixed windows get the ``aggregation`` the caller asked for.
-    """
-    if spec.num_panes == 1:
-        return "ring"
-    return aggregation
-
 
 class _PaneGeometry:
     """Per-kind pane policy: where a report lands and when a pane seals.
 
     The collector owns the arrival machinery — the watermark, privacy
-    charging, the pane store, the absorbed/late counters and the
-    emitted snapshots.  A geometry owns pane *identity*: classifying
-    timestamps into panes, routing sub-envelopes, deciding what the
-    watermark has sealed and what window a sealed pane emits.  Fixed
-    (tumbling/sliding) and data-driven (session) geometries share the
-    one collector through this interface.
+    charging, the store of sealed panes, the absorbed/late counters and
+    the emitted snapshots.  A geometry owns pane *identity* and its open
+    panes: classifying timestamps into panes, routing sub-envelopes into
+    the open pane accumulators it holds, deciding what the watermark has
+    sealed and what window a sealed pane emits.  Fixed (tumbling/sliding)
+    and data-driven (session) geometries share the one collector through
+    this interface.
     """
 
     #: Open panes bridged into a neighbour by late data (sessions only).
@@ -883,12 +710,12 @@ class _PaneGeometry:
         return False
 
     def open_accumulators(self) -> list:
-        """Open accumulators living outside the store (oldest first)."""
-        return []
+        """The open pane accumulators, oldest first (never in the store)."""
+        raise NotImplementedError
 
     def open_count(self) -> int:
-        """Open panes not counted by the store."""
-        return 0
+        """Open panes held (the store counts only sealed ones)."""
+        raise NotImplementedError
 
 
 class _FixedPaneGeometry(_PaneGeometry):
@@ -1175,12 +1002,16 @@ class _SessionPaneGeometry(_PaneGeometry):
     """Data-driven panes: gap-separated activity sessions (Beam-style).
 
     Open sessions are kept sorted by start time, pairwise more than
-    ``gap`` apart, each owning one live pane in the (ring) store at the
-    matching position.  A report within ``gap`` of a session — on
-    either side, inclusive — extends it; a report landing within
-    ``gap`` of *two* sessions bridges them, coalescing their panes
-    (:meth:`PaneStore.coalesce`) and their ledger groups; a quiet
-    stretch strictly longer than ``gap`` starts a new session.
+    ``gap`` apart, each owning one open pane accumulator at the
+    matching position of the geometry's pane list.  A report within
+    ``gap`` of a session — on either side, inclusive — extends it; a
+    report landing within ``gap`` of *two* sessions bridges them,
+    coalescing their panes (the absorbed session's pane merges into the
+    survivor's via the non-destructive merge) and their ledger groups;
+    a quiet stretch strictly longer than ``gap`` starts a new session.
+    A sealed session's pane is folded straight into the store's
+    ``retired`` accumulator: a session window is that one pane, so the
+    store never holds a session pane.
 
     Because open sessions are separated by more than the gap, their
     ends are ordered like their starts: sessions always seal
@@ -1209,6 +1040,7 @@ class _SessionPaneGeometry(_PaneGeometry):
         # increasing and bisect gives both the insert position and the
         # exact index of any open session in O(log S).
         self._starts: list[float] = []
+        self._panes: list = []  # open pane accumulators, aligned likewise
         self._next_serial = 0
         self._sealed_horizon = -math.inf
         self.merged_panes = 0
@@ -1216,10 +1048,6 @@ class _SessionPaneGeometry(_PaneGeometry):
         #: instead of the vectorized clustering (property tests flip
         #: this to prove bit-identity).
         self.use_reference_sweep = False
-        # Data-driven panes open out of start order and absorb in
-        # place — only the ring store supports that, and
-        # resolve_pane_store guarantees it (sessions are single-pane).
-        assert isinstance(collector._store, RingPaneStore)
 
     def ingest(self, timed: TimedReports) -> None:
         self._sweep(np.asarray(timed.timestamps, dtype=np.float64), timed)
@@ -1274,7 +1102,7 @@ class _SessionPaneGeometry(_PaneGeometry):
             c.ledger.rollback(token)
             raise
         t2 = time.perf_counter()
-        starts = self._starts
+        starts, panes = self._starts, self._panes
         for sessions, positions, first, last in clusters:
             if not sessions:
                 session = _OpenSession(self._next_serial, first, first)
@@ -1282,7 +1110,7 @@ class _SessionPaneGeometry(_PaneGeometry):
                 at = bisect.bisect_left(starts, first)
                 self._sessions.insert(at, session)
                 starts.insert(at, first)
-                c._store.insert_pane(at, c._oracle.accumulator())
+                panes.insert(at, c._oracle.accumulator())
             else:
                 session = sessions[0]
                 # Starts are strictly increasing, so bisect recovers
@@ -1291,11 +1119,12 @@ class _SessionPaneGeometry(_PaneGeometry):
                 # sits right after the survivor's.
                 at = bisect.bisect_left(starts, session.start)
                 for other in sessions[1:]:
-                    c._store.coalesce(at, at + 1)
+                    panes[at].merge(panes[at + 1])
                     if other.end > session.end:
                         session.end = other.end
                     del self._sessions[at + 1]
                     del starts[at + 1]
+                    del panes[at + 1]
                     self.merged_panes += 1
             if positions.size:
                 if first < session.start:
@@ -1304,7 +1133,7 @@ class _SessionPaneGeometry(_PaneGeometry):
                 if last > session.end:
                     session.end = last
                 if timed is not None:
-                    pane = c._store.pane_at(at)
+                    pane = panes[at]
                     before = pane.n_absorbed
                     pane.absorb(timed.select(positions).reports)
                     c._absorbed += pane.n_absorbed - before
@@ -1468,9 +1297,10 @@ class _SessionPaneGeometry(_PaneGeometry):
         c = self._c
         session = self._sessions.pop(0)
         del self._starts[0]
+        pane = self._panes.pop(0)
         end_bound = session.end + self._gap
-        window_users, window_est = _merged_estimates([c._store.pane_at(0)])
-        c._store.evict_oldest()
+        window_users, window_est = _merged_estimates([pane])
+        c._store.retired.merge(pane)
         final = _final_label(session.serial, session.start, end_bound)
         if c.user_model == "disjoint_users" and c._declaration is not None:
             # The provisional parallel group becomes the window's final
@@ -1488,6 +1318,12 @@ class _SessionPaneGeometry(_PaneGeometry):
             t0=t0,
         )
         self._sealed_horizon = end_bound
+
+    def open_accumulators(self) -> list:
+        return list(self._panes)
+
+    def open_count(self) -> int:
+        return len(self._panes)
 
 
 class EventTimeCollector:
@@ -1514,10 +1350,9 @@ class EventTimeCollector:
     in the cumulative view only, and a ``cumulative`` spec's window view
     is its cumulative view.
 
-    Panes seal in clock order (the watermark is monotone) into a
-    two-stack or ring store, so every window estimate is bit-identical
-    to the one-shot batch over exactly the reports absorbed into that
-    window.  Empty panes (quiet intervals the watermark has passed)
+    Panes seal in clock order (the watermark is monotone) into the
+    two-stack store, so every window estimate is bit-identical to the
+    one-shot batch over exactly the reports absorbed into that window.  Empty panes (quiet intervals the watermark has passed)
     seal too — their windows are emitted with ``window_estimates=None``
     for panes nothing reported into.
 
@@ -1555,7 +1390,6 @@ class EventTimeCollector:
         user_model: str = "same_users",
         composition: str = "basic",
         delta_slack: float = 1e-9,
-        aggregation: str = "two_stack",
         micro_batch: int | None = None,
     ) -> None:
         if user_model not in USER_MODELS:
@@ -1565,10 +1399,6 @@ class EventTimeCollector:
         if composition not in COMPOSITIONS:
             raise ValueError(
                 f"composition must be one of {COMPOSITIONS}, got {composition!r}"
-            )
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(
-                f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}"
             )
         if not 0.0 < delta_slack < 1.0:
             raise ValueError(f"delta_slack must be in (0, 1), got {delta_slack}")
@@ -1580,16 +1410,11 @@ class EventTimeCollector:
         self.user_model = user_model
         self.composition = composition
         self.delta_slack = float(delta_slack)
-        self.aggregation = aggregation
         spend = getattr(oracle, "privacy_spend", None)
         self._declaration: SpendDeclaration | None = (
             spend() if callable(spend) else None
         )
-        # Which store serves this spec is a policy decision, not the
-        # caller's aggregation verbatim — see resolve_pane_store.
-        self._store = PANE_STORES[resolve_pane_store(spec, aggregation)](
-            oracle.accumulator
-        )
+        self._store = TwoStackPaneStore(oracle.accumulator)
         # One-time charges are memoized per *release*, and one collector
         # instance is one release stream: the sentinel scopes its memo
         # keys so two streams sharing a ledger each pay their own bill.
@@ -1988,7 +1813,6 @@ def stream_collection(
     user_model: str = "same_users",
     composition: str = "basic",
     delta_slack: float = 1e-9,
-    aggregation: str = "two_stack",
     micro_batch: int | None = None,
 ) -> StreamResult:
     """Drive a whole population through a simulated arrival stream.
@@ -2012,9 +1836,8 @@ def stream_collection(
     out-of-order and late arrivals land in their event-time pane or are
     counted late per the spec's ``allowed_lateness``.
 
-    ``ledger``, ``user_model``, ``composition`` and ``aggregation``
-    configure the accounting and the sliding-window store (see the
-    module docstring); ``micro_batch`` sets the
+    ``ledger``, ``user_model`` and ``composition`` configure the
+    accounting (see the module docstring); ``micro_batch`` sets the
     collector's ingest coalescing budget in rows — small envelopes
     queue up to that many reports and fold as one routing batch, with
     a forced flush whenever a pane seal is due.  Returns a
@@ -2053,7 +1876,6 @@ def stream_collection(
         user_model=user_model,
         composition=composition,
         delta_slack=delta_slack,
-        aggregation=aggregation,
         micro_batch=micro_batch,
     )
 
@@ -2069,7 +1891,6 @@ def stream_reports(
     user_model: str = "same_users",
     composition: str = "basic",
     delta_slack: float = 1e-9,
-    aggregation: str = "two_stack",
     micro_batch: int | None = None,
 ) -> StreamResult:
     """Drive an already-privatized report batch through the window engine.
@@ -2106,6 +1927,5 @@ def stream_reports(
         user_model=user_model,
         composition=composition,
         delta_slack=delta_slack,
-        aggregation=aggregation,
         micro_batch=micro_batch,
     )

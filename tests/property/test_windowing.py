@@ -5,9 +5,8 @@ core oracle *and* every system stack:
 
 * **window = batch**: each tumbling/sliding window's finalized estimate
   is bit-identical to the one-shot batch estimate over exactly that
-  window's reports, for any pane geometry and either pane store
-  (two-stack or ring).  SHE included — its accumulator sums exactly, so
-  merge grouping cannot move a single bit.  The reports are privatized
+  window's reports, for any pane geometry.  SHE included — its
+  accumulator sums exactly, so merge grouping cannot move a single bit.  The reports are privatized
   once and sliced, so the comparison is over identical randomness.
 * **event-time window = batch**: with timestamped reports arriving
   *shuffled*, every event-time window's estimate is bit-identical to
@@ -33,9 +32,7 @@ from repro.systems.microsoft.dbitflip import DBitFlipReports
 from repro.systems.rappor import RapporAggregator, RapporParams, privatize_population
 
 
-def _assert_windows_equal_batches(
-    oracle, reports, slicer, n, spec, *, aggregation="two_stack"
-):
+def _assert_windows_equal_batches(oracle, reports, slicer, n, spec):
     """Drive ``reports`` through a collector pane by pane; compare every
     window snapshot against the one-shot batch over that window's users.
 
@@ -45,7 +42,7 @@ def _assert_windows_equal_batches(
     possibly short, pane at ``finish``)."""
     order = np.arange(n)
     stride = spec.pane_size
-    collector = EventTimeCollector(oracle, spec, aggregation=aggregation)
+    collector = EventTimeCollector(oracle, spec)
     pane_starts = list(range(0, n, stride))
     for k, start in enumerate(pane_starts):
         end = min(start + stride, n)
@@ -115,12 +112,9 @@ def _assert_event_windows_equal_batches(
 @given(
     panes=st.integers(1, 4),
     stride=st.sampled_from([40, 80, 120]),
-    aggregation=st.sampled_from(["two_stack", "ring"]),
 )
 @settings(max_examples=6, deadline=None)
-def test_core_oracle_windows_equal_batches(
-    name, slice_reports, panes, stride, aggregation
-):
+def test_core_oracle_windows_equal_batches(name, slice_reports, panes, stride):
     oracle = make_oracle(name, 9, 1.4)
     n = 480
     values = np.random.default_rng(31).integers(0, 9, size=n)
@@ -130,9 +124,7 @@ def test_core_oracle_windows_equal_batches(
         if panes == 1
         else WindowSpec.sliding(panes * stride, stride)
     )
-    _assert_windows_equal_batches(
-        oracle, reports, slice_reports, n, spec, aggregation=aggregation
-    )
+    _assert_windows_equal_batches(oracle, reports, slice_reports, n, spec)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_REGISTRY))
@@ -231,13 +223,10 @@ _SYSTEM_CASES = _system_cases()
     ],
     ids=["tumbling", "sliding-3x100", "sliding-4x50"],
 )
-@pytest.mark.parametrize("aggregation", ["two_stack", "ring"])
 def test_system_stack_windows_equal_batches(
-    label, mechanism, reports, n, slicer, spec, aggregation
+    label, mechanism, reports, n, slicer, spec
 ):
-    _assert_windows_equal_batches(
-        mechanism, reports, slicer, n, spec, aggregation=aggregation
-    )
+    _assert_windows_equal_batches(mechanism, reports, slicer, n, spec)
 
 
 @pytest.mark.parametrize(
@@ -265,18 +254,17 @@ def test_system_stack_event_windows_equal_batches(
 @settings(max_examples=10, deadline=None)
 def test_pane_store_never_exceeds_capacity(panes, rolls):
     # Structural bound, independent of workload: after any number of
-    # sealed panes either store holds at most num_panes accumulators.
+    # sealed panes the store holds at most num_panes accumulators.
     oracle = make_oracle("OUE", 8, 1.0)
     spec = WindowSpec.sliding(panes * 10, 10)
-    for aggregation in ("two_stack", "ring"):
-        col = EventTimeCollector(oracle, spec, aggregation=aggregation)
-        gen = np.random.default_rng(panes * 1000 + rolls)
-        for k in range(rolls):
-            ordinals = np.arange(10 * k, 10 * (k + 1), dtype=np.float64)
-            col.absorb(
-                TimedReports(
-                    ordinals, oracle.privatize(gen.integers(0, 8, 10), rng=gen)
-                )
+    col = EventTimeCollector(oracle, spec)
+    gen = np.random.default_rng(panes * 1000 + rolls)
+    for k in range(rolls):
+        ordinals = np.arange(10 * k, 10 * (k + 1), dtype=np.float64)
+        col.absorb(
+            TimedReports(
+                ordinals, oracle.privatize(gen.integers(0, 8, 10), rng=gen)
             )
-            assert len(col.snapshots) == k + 1  # the pane sealed
-            assert col.pane_count <= spec.num_panes
+        )
+        assert len(col.snapshots) == k + 1  # the pane sealed
+        assert col.pane_count <= spec.num_panes

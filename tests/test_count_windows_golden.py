@@ -102,6 +102,7 @@ def _collection_cases() -> dict:
             composition="advanced",
         )
     )
+    # The key predates the single pane store; the record is keyed by it.
     out["collection/sliding/ring"] = _stream(
         stream_collection(
             make_oracle("OUE", 8, 1.0),
@@ -109,7 +110,6 @@ def _collection_cases() -> dict:
             window=_SPECS["sliding"],
             chunk_size=33,
             rng=504,
-            aggregation="ring",
         )
     )
     return out

@@ -1,12 +1,11 @@
 """Unit tests for the data-driven window machinery.
 
-Covers the refactor's seams one layer at a time: `WindowSpec`
-validation names the offending field; `PaneStore.coalesce` is
-bit-identical on both stores (including both two-stack splice paths);
-pane-store auto-selection is a `resolve_pane_store` policy decision;
-and the session collector's charge/absorb lifecycle stays atomic and
-commitment-consistent.  End-to-end session semantics live in
-`tests/property/test_session_windows.py`.
+Covers the seams one layer at a time: `WindowSpec` validation names
+the offending field; the session collector's charge/absorb lifecycle
+stays atomic and commitment-consistent; and the session geometry's
+open-pane bookkeeping (sessions, starts and open panes kept aligned)
+survives hundreds of shuffled opens, extents and bridges.  End-to-end
+session semantics live in `tests/property/test_session_windows.py`.
 """
 
 import math
@@ -18,12 +17,6 @@ from repro.core import TimedReports
 from repro.core.budget import BudgetExceededError, PrivacyLedger
 from repro.core.estimation import make_oracle
 from repro.protocol import EventTimeCollector, WindowSpec
-from repro.protocol.streaming import (
-    PANE_STORES,
-    RingPaneStore,
-    TwoStackPaneStore,
-    resolve_pane_store,
-)
 
 
 class TestWindowSpecValidation:
@@ -96,132 +89,6 @@ class TestWindowSpecValidation:
     def test_fixed_kinds_are_not_data_driven(self):
         assert not WindowSpec.event_tumbling(1.0).is_data_driven
         assert not WindowSpec.tumbling(10).is_data_driven
-
-
-def _panes(oracle, reports, slicer, groups):
-    """One absorbed accumulator per index group."""
-    out = []
-    for idx in groups:
-        acc = oracle.accumulator()
-        acc.absorb(slicer(reports, np.asarray(idx)))
-        out.append(acc)
-    return out
-
-
-def _merged(components):
-    live = [c for c in components if c.n_absorbed > 0]
-    merged = live[0].copy()
-    for acc in live[1:]:
-        merged.merge(acc)
-    return merged.finalize()
-
-
-class TestPaneStoreCoalesce:
-    def _setup(self, store_cls, groups):
-        oracle = make_oracle("OUE", 6, 1.0)
-        n = max(i for g in groups for i in g) + 1
-        values = np.random.default_rng(7).integers(0, 6, n)
-        reports = oracle.privatize(values, rng=8)
-
-        def slicer(rep, idx):
-            return {k: v[idx] for k, v in rep.items()} if isinstance(rep, dict) else rep[idx]
-
-        store = store_cls(oracle.accumulator)
-        for pane in _panes(oracle, reports, slicer, groups):
-            store.push(pane)
-        return oracle, reports, slicer, store
-
-    @pytest.mark.parametrize("store_cls", [RingPaneStore, TwoStackPaneStore])
-    def test_coalesce_is_bit_identical_to_one_pane(self, store_cls):
-        groups = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        oracle, reports, slicer, store = self._setup(store_cls, groups)
-        store.coalesce(1, 2)
-        assert store.count == 3
-        panes = store.live_panes()
-        # The merged pane equals the batch over both groups' reports...
-        batch = oracle.accumulator().absorb(slicer(reports, np.arange(2, 6)))
-        assert panes[1].n_absorbed == 4
-        assert np.array_equal(panes[1].finalize(), batch.finalize())
-        # ...and the store's window view still covers every report.
-        whole = oracle.accumulator().absorb(slicer(reports, np.arange(8)))
-        assert np.array_equal(_merged(store.window_components()), whole.finalize())
-
-    def test_two_stack_coalesce_back_branch_keeps_back_agg(self):
-        # No eviction yet: all panes sit on the back list, the splice
-        # happens in place, and the cached back_agg must stay exact.
-        groups = [[0], [1, 2], [3], [4, 5]]
-        oracle, reports, slicer, store = self._setup(TwoStackPaneStore, groups)
-        assert not store._front  # precondition: back-branch really taken
-        store.coalesce(2, 3)
-        whole = oracle.accumulator().absorb(slicer(reports, np.arange(6)))
-        assert np.array_equal(_merged(store.window_components()), whole.finalize())
-        assert store.count == 3
-
-    def test_two_stack_coalesce_front_branch_rebuilds(self):
-        groups = [[0], [1], [2, 3], [4]]
-        oracle, reports, slicer, store = self._setup(TwoStackPaneStore, groups)
-        store.evict_oldest()  # flips the back list onto the front stack
-        assert store._front  # precondition: front-branch really taken
-        store.coalesce(0, 1)
-        whole = oracle.accumulator().absorb(slicer(reports, np.arange(1, 5)))
-        assert np.array_equal(_merged(store.window_components()), whole.finalize())
-        assert store.count == 2
-        # Eviction order is preserved across the rebuild.
-        store.evict_oldest()
-        remaining = oracle.accumulator().absorb(slicer(reports, np.array([4])))
-        assert np.array_equal(
-            _merged(store.window_components()), remaining.finalize()
-        )
-
-    @pytest.mark.parametrize("store_cls", [RingPaneStore, TwoStackPaneStore])
-    def test_coalesce_validates_indices(self, store_cls):
-        _, _, _, store = self._setup(store_cls, [[0], [1], [2]])
-        with pytest.raises(ValueError, match="adjacent"):
-            store.coalesce(0, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            store.coalesce(2, 3)
-        with pytest.raises(ValueError, match="out of range"):
-            store.coalesce(-1, 0)
-
-
-class TestPaneStorePolicy:
-    """Store auto-selection is a policy decision, not an inline branch."""
-
-    def test_registry_names(self):
-        assert set(PANE_STORES) == {"ring", "two_stack"}
-
-    def test_single_pane_specs_resolve_to_ring(self):
-        for spec in (
-            WindowSpec.tumbling(100),
-            WindowSpec.cumulative(50),
-            WindowSpec.event_tumbling(1.0),
-            WindowSpec.sliding(10, 20),  # gapped: one pane per window
-        ):
-            assert resolve_pane_store(spec, "two_stack") == "ring"
-
-    def test_multi_pane_specs_keep_requested_store(self):
-        spec = WindowSpec.event_sliding(4.0, 1.0)
-        assert resolve_pane_store(spec, "two_stack") == "two_stack"
-        assert resolve_pane_store(spec, "ring") == "ring"
-
-    def test_session_specs_resolve_to_ring(self):
-        spec = WindowSpec.session(2.0)
-        assert resolve_pane_store(spec, "two_stack") == "ring"
-        assert resolve_pane_store(spec, "ring") == "ring"
-
-    def test_session_collector_uses_ring_regardless_of_aggregation(self):
-        # Regression: sessions need random access (mid-ring inserts,
-        # in-place absorb) the two-stack cannot give; asking for
-        # two_stack must still get the ring.
-        oracle = make_oracle("OUE", 4, 1.0)
-        col = EventTimeCollector(
-            oracle, WindowSpec.session(2.0), aggregation="two_stack"
-        )
-        assert isinstance(col._store, RingPaneStore)
-        col = EventTimeCollector(
-            oracle, WindowSpec.event_sliding(4.0, 1.0), aggregation="two_stack"
-        )
-        assert isinstance(col._store, TwoStackPaneStore)
 
 
 class TestSessionCollectorLifecycle:
@@ -367,9 +234,10 @@ class TestManyOpenSessions:
     The sweep used to locate sessions with ``list.index`` and a linear
     ``_insert_position`` scan; with hundreds of concurrent open
     sessions that made every envelope O(S²).  The bisect structure
-    keeps a ``_starts`` mirror that must stay strictly increasing and
-    aligned with ``_sessions`` under out-of-order opens, extent
-    updates and merges — checked here at every stage.
+    keeps a ``_starts`` mirror that must stay strictly increasing and,
+    with the open ``_panes``, aligned with ``_sessions`` under
+    out-of-order opens, extent updates and merges — checked here at
+    every stage.
     """
 
     GAP = 2.0
@@ -380,6 +248,7 @@ class TestManyOpenSessions:
         geometry = collector._geometry
         starts = [s.start for s in geometry._sessions]
         assert geometry._starts == starts
+        assert len(geometry._panes) == len(starts)
         assert all(a < b for a, b in zip(starts, starts[1:]))
 
     def test_shuffled_opens_extends_and_merges(self, slice_reports):

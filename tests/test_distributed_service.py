@@ -871,6 +871,35 @@ def test_dropped_and_delayed_frames_recovered_by_retransmit():
     assert svc.absorbed_reports == 600 and not svc.degraded
 
 
+def test_unwindowed_checkpoint_holds_each_partial_once():
+    # An unwindowed combiner merges its partials into the running total
+    # alone, so its checkpoint carries one accumulator payload.  A
+    # checkpoint in the older layout — an unwindowed pane entry that
+    # duplicates the total — restores to the same state.
+    oracle = make_oracle("OLH", 64, 1.0)
+    envelopes, reports = _envelopes(oracle, np.arange(1280) % 64, 256)
+    folder = ShardFolder(oracle, worker_id=0)
+    core = CombinerCore(oracle, num_workers=1)
+    core.register(0)
+    for eid, batch in envelopes:
+        core.receive(folder.offer(eid, batch))
+    blob = core.to_checkpoint()
+    header, arrays = decode_checkpoint(blob)
+    assert header["panes"] == []
+    assert sorted(arrays) == ["total"]
+    header["panes"] = [[None, "pane0"]]
+    arrays["pane0"] = arrays["total"]
+    restored = CombinerCore.from_checkpoint(
+        oracle, encode_checkpoint(header, arrays)
+    )
+    assert restored.to_checkpoint() == blob
+    result = core_result_after_drain(restored)
+    assert result.absorbed_reports == 1280
+    assert np.array_equal(
+        result.estimated_counts, oracle.estimate_counts(reports)
+    )
+
+
 def test_checkpoint_rejects_mismatched_configuration(tmp_path):
     # A checkpoint written by one fleet shape must not silently restore
     # into another: worker-count and window fingerprints are enforced.

@@ -457,51 +457,17 @@ class TestGappedWindows:
 
 
 class TestPaneStores:
-    def test_two_stack_and_ring_agree_bitwise(self, slice_reports):
-        oracle = make_oracle("OLH", 16, 1.5)
-        n = 1200
-        reports = oracle.privatize(
-            np.random.default_rng(70).integers(0, 16, n), rng=71
-        )
-        order = np.arange(n)
-        spec = WindowSpec.sliding(400, 100)
-        snaps = {}
-        for aggregation in ("two_stack", "ring"):
-            col = EventTimeCollector(oracle, spec, aggregation=aggregation)
-            for start in range(0, n, 100):
-                _feed(
-                    col,
-                    slice_reports(reports, (order >= start) & (order < start + 100)),
-                )
-            snaps[aggregation] = col.finish()
-        assert len(snaps["ring"]) == n // 100
-        for a, b in zip(snaps["two_stack"], snaps["ring"]):
-            assert np.array_equal(a.window_estimates, b.window_estimates)
-            assert np.array_equal(a.cumulative_estimates, b.cumulative_estimates)
-            assert a.window_users == b.window_users
-            assert a.pane_count == b.pane_count
-
     def test_two_stack_snapshot_merges_constant_components(self):
         # Whatever the pane count, a two-stack window view is built from
-        # at most two closed-pane components (+ the open pane); the ring
-        # pays one component per pane — that's the whole point.
-        from repro.protocol.streaming import RingPaneStore, TwoStackPaneStore
+        # at most two sealed-pane components (+ the open pane).
+        from repro.protocol.streaming import TwoStackPaneStore
 
         oracle = make_oracle("OUE", 8, 1.0)
         two_stack = TwoStackPaneStore(oracle.accumulator)
-        ring = RingPaneStore(oracle.accumulator)
         for seed in range(17):
             reports = oracle.privatize(np.arange(8).repeat(3), rng=seed)
             two_stack.push(oracle.accumulator().absorb(reports))
-            ring.push(oracle.accumulator().absorb(reports))
         assert len(two_stack.window_components()) <= 2
-        assert len(ring.window_components()) == 17
-
-    def test_aggregation_validation(self):
-        with pytest.raises(ValueError):
-            EventTimeCollector(
-                make_oracle("DE", 4, 1.0), WindowSpec.tumbling(10), aggregation="btree"
-            )
 
 
 class TestAdvancedComposition:
