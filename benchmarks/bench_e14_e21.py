@@ -280,10 +280,10 @@ def check_e20(rows):
     # Lateness row: sealed windows, stragglers late, nothing dropped.
     assert lateness["windows"] > 0 and lateness["late"] > 0
     assert lateness["absorbed"] + lateness["late"] == USERS
-    # Small-envelope rows: same envelopes either way (coalescing folds
-    # them in fewer batches — asserted inside the experiment); worker
-    # fold stage timings present on every row.
-    assert len(small) == 2
+    # Small-envelope row: coalescing folds the envelopes in fewer
+    # batches (asserted inside the experiment); worker fold stage
+    # timings present.
+    assert len(small) == 1
     for row in small:
         assert row["absorbed"] == USERS and row["late"] == 0
         assert "absorb=" in row["fold_stages"]

@@ -19,19 +19,19 @@ that merges them into fleet-wide estimates.  Three sweeps:
    recorded (the faults really happened).
 
 3. **Lateness** — a windowed, round-robin-placed fleet on a day-clock
-   workload with exponential straggler delays: panes seal when the
+   workload with exponential straggler delays: each worker judges its
+   stragglers late against its own watermark, panes seal when the
    *merged* watermark (min over every worker's event-time frontier)
-   passes them, stragglers behind a sealed pane are counted late, and
-   ``absorbed + late == n`` holds fleet-wide.
+   passes them, and ``absorbed + late == n`` holds fleet-wide.
 
 4. **Small envelopes** — the deployment regime the PR 9 fast path
-   targets: devices upload in tiny (256-report) envelopes.  Unbatched,
-   every envelope pays its own fold; with the ingest daemons'
-   ``micro_batch`` coalescing (and a credit window wide enough to keep
-   envelopes queued), queued envelopes fold as one batch — estimates
-   stay bit-identical (asserted) while the per-envelope overhead
-   amortizes away.  Every row reports the worker-side fold stage
-   breakdown (coalesced batches, route/absorb seconds).
+   targets: devices upload in tiny (256-report) envelopes.  The ingest
+   daemons fold the envelopes queued on a link as one batch (at most
+   the credit window), so the per-envelope fold, ship and checkpoint
+   overhead amortizes — estimates stay bit-identical (asserted) and
+   the run folds fewer batches than it has envelopes (asserted).
+   Every row reports the worker-side fold stage breakdown (coalesced
+   batches, route/absorb seconds).
 
 Each row's wall time is taken around the whole
 ``run_distributed_collection`` call, so ``wall_s`` and ``users_per_s``
@@ -220,7 +220,7 @@ def run(
         wall,
     )
 
-    # -- sweep 4: small delivery envelopes, micro-batch coalescing ---------
+    # -- sweep 4: small delivery envelopes, coalesced on each link --------
     small_envelope = 256
     base_small = run_sharded_collection(
         oracle,
@@ -230,30 +230,17 @@ def run(
         backend="serial",
         rng=seed + 4,
     )
-    small_batches = []
-    for label, micro_batch, credit in (
-        ("unbatched", None, None),
-        (f"micro_batch={chunk_size}", chunk_size, 128),
-    ):
-        kwargs = {} if credit is None else {"credit_window": credit}
-        svc, wall = serve(
-            values,
-            num_ingest=widest,
-            chunk_size=small_envelope,
-            rng=seed + 4,
-            micro_batch=micro_batch,
-            **kwargs,
-        )
-        assert np.array_equal(
-            svc.estimated_counts, base_small.estimated_counts
-        ), "micro-batch coalescing must be invisible to estimates"
-        assert svc.absorbed_reports == n and svc.late_reports == 0
-        small_batches.append(sum(w.fold_batches for w in svc.workers))
-        add_row("small_env", f"env={small_envelope} {label}", svc, wall)
-    assert small_batches[1] < small_batches[0], (
-        "the coalescing buffer must actually have folded multiple "
-        "envelopes per batch"
+    svc, wall = serve(
+        values, num_ingest=widest, chunk_size=small_envelope, rng=seed + 4
     )
+    assert np.array_equal(svc.estimated_counts, base_small.estimated_counts), (
+        "coalescing must be invisible to estimates"
+    )
+    assert svc.absorbed_reports == n and svc.late_reports == 0
+    assert sum(w.fold_batches for w in svc.workers) < sum(
+        w.envelopes for w in svc.workers
+    ), "the ingest daemons must have folded several envelopes per batch"
+    add_row("small_env", f"env={small_envelope}", svc, wall)
     return table
 
 

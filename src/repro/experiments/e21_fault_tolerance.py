@@ -16,7 +16,10 @@ verifies what they cannot change, using the seeded chaos harness
    same port, workers reship their at-risk and unacked payloads, and
    the run completes **bit-identical** to the fault-free baseline.
    Reported: recovery latency (supervisor restart time) and the
-   checkpoint/redelivery cost of the looser cadences.
+   checkpoint/redelivery cost of the looser cadences.  These rows ship
+   one envelope per ship (``credit_window=1``): the crash is scheduled
+   by ship count, and coalescing can leave a small run fewer ships
+   than the schedule needs.
 
 3. **Degraded fleet** — one worker SIGKILLed (silent, permanent) under
    lease-based liveness: the combiner evicts it after lease expiry so
@@ -116,6 +119,11 @@ def run(
         "crashes bit-invisible); degraded rows assert the loss invariant "
         "absorbed + late + lost == n instead"
     )
+    table.add_note(
+        "crash rows ship one envelope per ship (credit_window=1) so the "
+        "ship-counted crash fires at every size; their overhead_pct "
+        "includes giving up coalescing"
+    )
 
     base = run_sharded_collection(
         oracle,
@@ -209,6 +217,7 @@ def run(
             svc = run_service(
                 checkpoint_path=path,
                 checkpoint_every_ships=k,
+                credit_window=1,
                 faults=FaultPlan(
                     seed=seed, crash_combiner_at_ships=(crash_at_ship,)
                 ),

@@ -9,16 +9,24 @@ is that topology, runnable on real sockets:
 * **clients** (:func:`feed_envelopes`) send privatized report envelopes
   — length-prefixed frames carrying a :class:`~repro.core.timed.TimedReports`
   batch plus a dedup key — over TCP with credit-based flow control;
-* **ingest workers** (:class:`IngestDaemon`) fold each envelope into
-  per-pane accumulators with one keyed absorb (riding the fused decode
-  kernels and the kernel plan cache), never keeping raw reports, and
-  ship each envelope's partials to the combiner as stacked state rows;
+* **ingest workers** (:class:`IngestDaemon`) coalesce the envelopes
+  queued on a link, judge each envelope's lateness against their own
+  watermark as one event-time collector per shard would, fold the
+  batch's on-time reports into per-envelope, per-pane accumulators with
+  one keyed absorb (riding the fused decode kernels and the kernel plan
+  cache), never keeping raw reports, and ship the partials to the
+  combiner as stacked state rows with each envelope's late count;
 * the **combiner** (:class:`CombinerDaemon`) checks each ship's
   configuration fingerprint and layout, merges its rows through the
   exact accumulator algebra, tracks each worker's event-time frontier
   and advances the fleet watermark as the *minimum* over live frontiers
   (:func:`~repro.core.timed.merged_watermark`), sealing event-time panes
   only when every shard has moved past them.
+
+Because lateness is judged where a shard's report order is known, a
+windowed run's estimates, windows and late count are a function of its
+inputs: they do not move with how envelopes were coalesced into ships,
+when ships arrived, or which backend ran the workers.
 
 Delivery is **at least once**: a client keeps an envelope until the
 worker acks it, and the worker acks only after the combiner acked the
@@ -33,8 +41,8 @@ single-host :func:`~repro.protocol.simulation.run_sharded_collection`
 over the same privatized reports, no matter how delivery was duplicated,
 reordered or interrupted.
 
-The pure logic (dedup, pane folding, watermark merge, sealing, lateness
-accounting) lives in :class:`ShardFolder` and :class:`CombinerCore`,
+The pure logic (dedup, lateness, pane folding, watermark merge,
+sealing) lives in :class:`ShardFolder` and :class:`CombinerCore`,
 which never touch a socket — the daemons are thin asyncio shells around
 them, and unit tests drive the cores directly.
 """
@@ -58,6 +66,7 @@ from repro.core.serialization import TruncatedFrameError
 from repro.core.timed import (
     TimedReports,
     batch_length,
+    concat_report_batches,
     merged_watermark,
     slice_report_batch,
     split_by_key,
@@ -179,7 +188,10 @@ class ShipPayload:
     * ``sections`` holds one ``(envelope_id, partial count)`` entry per
       client envelope folded into the batch, in arrival order — the
       envelope's partials are the next ``count`` rows.  An empty
-      envelope has a section with no partials;
+      envelope, or one whose reports were all late, has a section with
+      no partials;
+    * ``late`` holds one count per section: the envelope's reports the
+      worker judged late and dropped before the fold;
     * ``kind`` and ``config`` are the accumulator class name and
       configuration fingerprint, once per ship, which the combiner
       checks as :meth:`~repro.core.mechanism.Accumulator.from_bytes`
@@ -188,14 +200,14 @@ class ShipPayload:
     ``frontier`` is the worker's event-time frontier *after* folding the
     batch — ``None`` until the worker has seen any event-time data.
 
-    A batch is one or more client envelopes coalesced by the ingest
-    micro-batcher; ``envelope_id`` — the ship's ack key — is the
-    ``"+"`` join of the member ids.  The joined key is **not** a dedup
-    key: batch grouping is not stable across worker restarts (a
-    respawned worker refolds whichever envelopes its clients still held
-    unacked, grouped differently), so the combiner dedups per *member*
-    id instead.  Keeping each member's partials in their own section is
-    what makes that possible — the combiner drops exactly the
+    A batch is the client envelopes the ingest daemon found queued on
+    one link; ``envelope_id`` — the ship's ack key — is the ``"+"`` join
+    of the member ids.  The joined key is **not** a dedup key: batch
+    grouping is not stable across worker restarts (a respawned worker
+    refolds whichever envelopes its clients still held unacked, grouped
+    differently), so the combiner dedups per *member* id instead.
+    Keeping each member's partials and late count in their own section
+    is what makes that possible — the combiner drops exactly the
     already-merged members and merges the rest.  The arrays make the
     payload unfit for ``==``; compare its fields.
     """
@@ -205,6 +217,7 @@ class ShipPayload:
     frontier: float | None
     num_reports: int
     sections: tuple[tuple[str, int], ...]
+    late: tuple[int, ...]
     kind: str
     config: dict
     rows: dict[str, np.ndarray]
@@ -218,19 +231,20 @@ class ShipPayload:
 
 
 class ShardFolder:
-    """One ingest worker's pure fold state: dedup, pane split, frontier.
+    """One ingest worker's pure fold state: dedup, lateness, pane split, frontier.
 
-    ``offer`` is the whole worker-side algorithm: drop an envelope id
-    already folded (at-least-once delivery makes redelivery normal, not
-    exceptional), advance the event-time frontier, group the envelope's
-    reports by event-time pane (:func:`~repro.core.timed.split_by_key`,
-    one reorder per envelope), and fold each pane's reports into a
-    *fresh* accumulator with one keyed absorb
+    ``offer_batch`` is the whole worker-side algorithm: drop an envelope
+    id already folded (at-least-once delivery makes redelivery normal,
+    not exceptional), judge each envelope's reports against the folder's
+    own watermark, group the on-time reports by event-time pane
+    (:func:`~repro.core.timed.split_by_key`), and fold every member's
+    panes into *fresh* accumulators with one keyed absorb
     (:meth:`~repro.core.mechanism.Accumulator.absorb_segments` — one
-    decode pass per envelope, however many panes it spans).  The ship
-    carries those partials as stacked state rows with the configuration
-    fingerprint, computed once per folder.  The folder never keeps
-    report batches — only the dedup set and running counters.
+    decode pass per batch, however many envelopes and panes it spans).
+    The ship carries those partials as stacked state rows with the
+    configuration fingerprint, computed once per folder.  The folder
+    never keeps report batches — only the dedup set, the frontier and
+    running counters.
     """
 
     def __init__(
@@ -259,6 +273,20 @@ class ShardFolder:
         """Largest event timestamp folded so far (None without event data)."""
         return self._frontier
 
+    def resume(self, frontier: float | None) -> None:
+        """Raise the frontier to one the combiner recorded for this worker.
+
+        A restarted worker passes the combiner's answer to its
+        ``register`` (:meth:`CombinerCore.register`): the frontier after
+        the last ship the combiner received from it.  Envelopes the
+        client resends are then judged as in a crash-free run.  The
+        frontier never moves backwards.
+        """
+        if frontier is not None and (
+            self._frontier is None or frontier > self._frontier
+        ):
+            self._frontier = float(frontier)
+
     def offer(self, envelope_id: str, payload: Any) -> ShipPayload | None:
         """Fold one envelope; ``None`` when its id was already folded."""
         ship, _flags = self.offer_batch([(envelope_id, payload)])
@@ -269,20 +297,25 @@ class ShardFolder:
     ) -> tuple[ShipPayload | None, list[bool]]:
         """Fold several envelopes as one coalesced batch.
 
-        Per-envelope dedup is unchanged — an id already folded (or
-        repeated within the batch) is dropped and flagged — and every
-        fresh envelope folds into its *own* per-pane accumulators, one
-        ship section per envelope, so the combiner can keep deduping
-        per member id even when a worker restart regroups redelivered
-        envelopes into different batches.  What the batch amortizes is
-        everything around the fold: one ship (one wire frame and one
-        combiner round-trip) for the whole batch, one counter/dedup
-        update, and the daemon's coalesced per-envelope acks.  Returns
-        the coalesced ship (``None`` when every envelope was a
-        duplicate) plus one duplicate flag per offered item, in order —
-        exactly the flags the per-envelope acks need.  Because each
-        envelope folds alone, the coalesced fold is bit-identical to
-        per-envelope folding by construction.
+        Dedup is per envelope: an id already folded (or repeated within
+        the batch) is dropped and flagged.  Lateness is judged per
+        envelope, in order, as one
+        :class:`~repro.protocol.streaming.EventTimeCollector` judges its
+        stream: a report is late when its pane ends at or below the
+        folder's frontier *before* that envelope minus the allowed
+        lateness, and only then does the envelope's maximum timestamp
+        advance the frontier.  Late reports are dropped before the fold
+        and counted in their envelope's section.
+
+        Every fresh envelope keeps its *own* per-pane partials, one ship
+        section per envelope, so the combiner can keep deduping per
+        member id even when a worker restart regroups redelivered
+        envelopes into different batches; the batch folds them all with
+        one keyed absorb over the members' concatenated pane segments,
+        bit-identical to one fold per member.  Returns the coalesced
+        ship (``None`` when every envelope was a duplicate) plus one
+        duplicate flag per offered item, in order — exactly the flags
+        the per-envelope acks need.
         """
         flags: list[bool] = []
         fresh: list[tuple[str, Any]] = []
@@ -315,36 +348,53 @@ class ShardFolder:
         # and retryable, so nothing may have been counted for it.
         self.duplicates += dup_count
         t0 = time.perf_counter()
+        window = self._window
         frontier = self._frontier
-        routed: list[tuple[str, Any, np.ndarray]] = []
+        members: list[Any] = []
+        picks: list[np.ndarray] = []
+        cuts: list[np.ndarray] = []
         panes: list[np.ndarray] = []
+        sections: list[tuple[str, int]] = []
+        late: list[int] = []
+        offset = held = 0
         for envelope_id, payload in fresh:
             reports = payload.reports if n_timed else payload
             size = batch_length(reports)
+            pick = np.arange(size)
+            if window is None:
+                starts = pick[:1]
+            else:
+                keys = window.pane_index(payload.timestamps)
+                if frontier is not None:
+                    mark = frontier - window.allowed_lateness
+                    pick = np.flatnonzero(window.pane_bounds(keys)[1] > mark)
+                    keys = keys[pick]
+                order, starts = split_by_key(keys)
+                pick = pick[order]
+                panes.append(keys[order[starts]])
             if n_timed and size:
                 high = float(payload.timestamps.max())
                 frontier = high if frontier is None else max(frontier, high)
-            if self._window is None:
-                starts = np.zeros(1 if size else 0, dtype=np.intp)
-            else:
-                keys = self._window.pane_index(payload.timestamps)
-                order, starts = split_by_key(keys)
-                panes.append(keys[order[starts]])
-                reports = slice_report_batch(reports, order)
-            routed.append((envelope_id, reports, starts))
+            members.append(reports)
+            picks.append(pick + offset)
+            cuts.append(starts + held)
+            sections.append((envelope_id, len(starts)))
+            late.append(size - len(pick))
+            offset += size
+            held += len(pick)
+        starts = np.concatenate(cuts)
+        parts = [self._oracle.accumulator() for _ in range(starts.shape[0])]
+        if parts:
+            batch = slice_report_batch(
+                concat_report_batches(members), np.concatenate(picks)
+            )
         t1 = time.perf_counter()
-        parts: list[Any] = []
-        sections: list[tuple[str, int]] = []
-        for envelope_id, reports, starts in routed:
-            targets = [self._oracle.accumulator() for _ in range(starts.shape[0])]
-            if targets:
-                targets[0].absorb_segments(targets, reports, starts)
-            parts.extend(targets)
-            sections.append((envelope_id, len(targets)))
+        if parts:
+            parts[0].absorb_segments(parts, batch, starts)
         counts = np.array([p.n_absorbed for p in parts], dtype=np.int64)
         counts.setflags(write=False)
         pane_indices = None
-        if self._window is not None:
+        if window is not None:
             pane_indices = np.concatenate(panes).astype(np.int64, copy=False)
             pane_indices.setflags(write=False)
         rows = self._template.stack_rows(parts)
@@ -354,7 +404,7 @@ class ShardFolder:
         # Mark seen only after the fold succeeded: a refused batch
         # (mixed shapes, bad payload) leaves every id retryable.
         self._frontier = frontier
-        fresh_ids = [envelope_id for envelope_id, _, _ in routed]
+        fresh_ids = [envelope_id for envelope_id, _ in sections]
         self._seen.update(fresh_ids)
         self.envelopes += len(fresh_ids)
         self.batches += 1
@@ -367,6 +417,7 @@ class ShardFolder:
                 frontier=self._frontier,
                 num_reports=n,
                 sections=tuple(sections),
+                late=tuple(late),
                 kind=type(self._template).__name__,
                 config=self._config,
                 rows=rows,
@@ -383,11 +434,13 @@ class SealedWindow:
 
     Sealing happened because the *merged* watermark — min over every
     worker's frontier, minus the allowed lateness — passed the pane's
-    end, so no on-time report can still arrive for it.  ``users`` counts
-    the reports folded into the pane before sealing; partials arriving
-    after the seal are counted late, never merged — as are partials for
-    a pane the watermark passed before any data reached it, so windows
-    seal in pane order.
+    end, so every worker's own watermark has passed it too: each judges
+    any later report for the pane late, and no on-time report can still
+    arrive for it.  ``users`` counts the reports folded into the pane
+    before sealing, so it equals the sum over one collector per shard.
+    A partial that still reaches a sealed pane — only a worker that
+    healed after its lease expired ships one — is counted late, never
+    merged, so windows seal once each and in pane order.
     """
 
     pane: int
@@ -402,11 +455,13 @@ class SealedWindow:
 class WorkerServiceStats:
     """One ingest worker's counters, as reported in its drain message.
 
-    ``fold_batches`` counts coalesced fold batches (equal to
-    ``envelopes`` when micro-batching is off); ``route_seconds`` /
+    ``fold_batches`` counts coalesced fold batches — the envelopes the
+    daemon found queued on an idle link, at most the credit window —
+    each one ship and one keyed fold; ``route_seconds`` /
     ``absorb_seconds`` break the worker's fold CPU into classification
-    (frontier + pane grouping and reorder) and the keyed fold into
-    stacked rows — the worker-side half of the stage story E20 reports.
+    (lateness, frontier, pane grouping and reorder) and the keyed fold
+    into stacked rows — the worker-side half of the stage story E20
+    reports.
     """
 
     worker_id: int
@@ -423,21 +478,23 @@ class WorkerServiceStats:
 
 
 class CombinerCore:
-    """The combiner's pure state: dedup, merge, watermark, seal, lateness.
+    """The combiner's pure state: dedup, merge, watermark, seal.
 
     The combiner is the single source of truth for exactly-once
     *effects* on top of at-least-once delivery: dedup is per client
     envelope id (a ship section whose member id was already merged is
-    dropped individually), so even a ship that regroups redelivered
-    envelopes with fresh ones merges each member exactly once, and a
-    ship with nothing fresh only advances the sender's frontier.
-    Frontiers
-    are kept as a running **max per worker** so a restarted worker
-    (which rejoins with an empty frontier) can never drag the merged
-    watermark backwards; a worker that has drained reports ``+inf`` and
-    stops holding the fleet back.  Every expected worker starts at
-    ``-inf`` — panes cannot seal before a worker that has not yet spoken
-    gets a chance to contribute.
+    dropped individually, late count and all), so even a ship that
+    regroups redelivered envelopes with fresh ones merges each member
+    exactly once, and a ship with nothing fresh only advances the
+    sender's frontier.  Lateness is judged by the workers, each against
+    its own watermark; the combiner adds the late counts of fresh
+    sections, merges and seals.  Frontiers are kept as a running **max
+    per worker** so a restarted worker can never drag the merged
+    watermark backwards, and :meth:`register` hands a restarted worker
+    the frontier to resume from; a worker that has drained reports
+    ``+inf`` and stops holding the fleet back.  Every expected worker
+    starts at ``-inf`` — panes cannot seal before a worker that has not
+    yet spoken gets a chance to contribute.
 
     **Leases** bound how long one silent worker may pin that ``-inf``:
     with ``lease_timeout`` set, every message from a worker (register,
@@ -524,11 +581,19 @@ class CombinerCore:
             )
         self._evicted.discard(worker_id)
 
-    def register(self, worker_id: int, now: float | None = None) -> None:
-        """Admit a worker (idempotent — a restarted worker re-registers)."""
+    def register(self, worker_id: int, now: float | None = None) -> float | None:
+        """Admit a worker (idempotent — a restarted worker re-registers).
+
+        Returns the frontier recorded for the worker — the frontier
+        after the last ship or heartbeat received from it, ``None``
+        before any — which a restarted worker resumes from
+        (:meth:`ShardFolder.resume`).
+        """
         worker_id = self._check_worker(worker_id)
         self._registered.add(worker_id)
         self._touch(worker_id, now)
+        frontier = self._frontiers[worker_id]
+        return frontier if math.isfinite(frontier) else None
 
     def heartbeat(
         self,
@@ -674,18 +739,22 @@ class CombinerCore:
         worker, its fold state gone, regroups whichever envelopes its
         clients resend into new batches with new joined keys), so each
         section is merged or dropped individually — already-merged
-        members count duplicate, fresh members merge exactly once.
-        Either way the sender's frontier advances (a redelivered ship
-        still proves how far the worker has read) and sealing re-runs.
-        Every merged row is a copy in a fresh accumulator; shipped
-        arrays are never adopted, so one ship can be received again
-        (a reship after a combiner restore) without aliasing state.
+        members count duplicate, fresh members merge exactly once and
+        add their late count.  Either way the sender's frontier advances
+        (a redelivered ship still proves how far the worker has read)
+        and sealing re-runs.  Every merged row is a copy in a fresh
+        accumulator; shipped arrays are never adopted, so one ship can
+        be received again (a reship after a combiner restore) without
+        aliasing state.
 
-        A partial is late when its pane is sealed under the collector's
-        rule: the pane's end is at or below the watermark, or its index
-        is at or below the last sealed pane.  The watermark is the one
-        before this ship's frontier moves it, because the ship's
-        reports precede its frontier.
+        The worker judged lateness; its partials land in open panes,
+        because its watermark is never below the merged one (the merged
+        frontier is a min that includes the frontier of the worker's
+        last ship).  One case breaks that: a worker that heals after its
+        lease expired ships partials for panes the fleet sealed without
+        it.  Those count late under the collector's rule — the pane's
+        end is at or below the watermark before this ship moved it, or
+        its index is at or below the last sealed pane.
         """
         worker_id = self._check_worker(ship.worker_id)
         if worker_id not in self._registered:
@@ -702,18 +771,19 @@ class CombinerCore:
             self._frontiers[worker_id] = max(self._frontiers[worker_id], frontier)
         fresh = False
         end = 0
-        for envelope_id, count in ship.sections:
+        for (envelope_id, count), late in zip(ship.sections, ship.late):
             begin, end = end, end + count
             if envelope_id in self._seen:
                 self.duplicates += 1
                 continue
             self._seen.add(envelope_id)
             fresh = True
+            self.late += late
             for pane, part in zip(panes[begin:end], parts[begin:end]):
                 if self._is_sealed(pane, mark):
-                    # The pane sealed fleet-wide: the straggler is
-                    # *counted* (absorbed + late == n stays exact) but its
-                    # reports never reach estimates.
+                    # A healed worker's straggler for a pane sealed
+                    # without it: *counted* (absorbed + late == n stays
+                    # exact) but its reports never reach estimates.
                     self.late += part.n_absorbed
                     continue
                 if pane is not None:
@@ -733,8 +803,9 @@ class CombinerCore:
         """A ship's partials as fresh accumulators plus their panes.
 
         Raises before anything is merged: ``ValueError`` for a foreign
-        configuration or a malformed layout, :class:`ServiceError` when
-        worker and combiner disagree on the window spec.
+        configuration or a malformed layout (the late vector included),
+        :class:`ServiceError` when worker and combiner disagree on the
+        window spec.
         """
         if ship.kind != self._kind or ship.config != self._config:
             raise ValueError(
@@ -750,6 +821,16 @@ class CombinerCore:
             raise ValueError(
                 f"ship sections count {counts!r:.80} partials, its n vector "
                 f"holds {len(parts)}"
+            )
+        late = ship.late
+        if (
+            not isinstance(late, tuple)
+            or len(late) != len(counts)
+            or not all(type(c) is int and c >= 0 for c in late)
+        ):
+            raise ValueError(
+                f"ship late vector {late!r:.80} does not hold one "
+                f"non-negative count for each of its {len(counts)} sections"
             )
         windowed = ship.pane_indices is not None
         if parts and windowed != (self._window is not None):
@@ -1072,6 +1153,7 @@ def _ship_to_message(ship: ShipPayload) -> tuple[dict, dict[str, np.ndarray]]:
         "frontier": ship.frontier,
         "reports": ship.num_reports,
         "sections": [[envelope_id, count] for envelope_id, count in ship.sections],
+        "late": list(ship.late),
         "kind": ship.kind,
         "config": ship.config,
     }
@@ -1095,6 +1177,7 @@ def _ship_from_message(header: dict, arrays: dict[str, np.ndarray]) -> ShipPaylo
         sections=tuple(
             (str(envelope_id), count) for envelope_id, count in header["sections"]
         ),
+        late=tuple(header.get("late", ())),
         kind=header["kind"],
         config=header["config"],
         rows={
@@ -1164,9 +1247,11 @@ class CombinerDaemon:
 
     Accepts any number of worker connections; each connection speaks
     ``register`` / ``ship`` / ``heartbeat`` / ``drain`` and gets a
-    ``ship_ack`` / ``drain_ack`` per acked message.  A ``drain`` carries
-    the worker's :class:`WorkerServiceStats` as one record (``stats``),
-    whose ``worker_id`` is the only worker id the message holds.
+    ``registered`` reply (the frontier the core recorded for that
+    worker) and a ``ship_ack`` / ``drain_ack`` per acked message.  A
+    ``drain`` carries the worker's :class:`WorkerServiceStats` as one
+    record (``stats``), whose ``worker_id`` is the only worker id the
+    message holds.
     Every frame is held to the framing layer's
     :data:`~repro.core.serialization.MAX_FRAME_BYTES`, the one cap both
     ends of a link share.  A connection dying mid-frame is normal
@@ -1346,7 +1431,11 @@ class CombinerDaemon:
                 kind = header.get("type")
                 now = time.monotonic()
                 if kind == "register":
-                    self.core.register(int(header["worker"]), now=now)
+                    frontier = self.core.register(int(header["worker"]), now=now)
+                    write_message(
+                        writer, {"type": "registered", "frontier": frontier}
+                    )
+                    await writer.drain()
                 elif kind == "ship":
                     ship = _ship_from_message(header, arrays)
                     self.core.receive(ship, now=now)
@@ -1439,13 +1528,21 @@ class IngestDaemon:
     """TCP shell around :class:`ShardFolder`: one ingest-tier worker.
 
     Serves clients (hello/reports/ack/eof) on its own listening socket
-    and keeps one upstream connection to the combiner.  Every client
-    envelope is folded and its partials shipped before the client sees
-    an ack — the end-to-end ack that makes worker restarts safe: a
-    client never drops an envelope the combiner has not merged.  The
-    upstream link reconnects with bounded exponential backoff and
-    reships every unacked payload in order; the combiner's dedup absorbs
-    any double delivery that recovery causes.
+    and keeps one upstream connection to the combiner.  The envelopes
+    queued on a client link are coalesced: whenever the link goes idle
+    (the client is waiting on acks) or at eof, the buffer folds as one
+    batch (:meth:`ShardFolder.offer_batch`) and ships once, so the
+    credit window bounds a batch.  Acks, dedup and credit stay per
+    envelope, and no output depends on the grouping.  Every envelope
+    is folded and its partials shipped before the client sees an ack —
+    the end-to-end ack that makes worker restarts safe: a client never
+    drops an envelope the combiner has not merged.  The upstream link
+    reconnects with bounded exponential backoff and reships every
+    unacked payload in order; the combiner's dedup absorbs any double
+    delivery that recovery causes.  Each connect registers, and the
+    folder resumes from the frontier the combiner answers with, so a
+    restarted worker judges the envelopes its clients resend as the
+    worker before it would have.
 
     Two fault-tolerance behaviours ride the upstream link.  **At-risk
     retention**: a ship acked ``durable=False`` (the combiner merged it
@@ -1471,12 +1568,9 @@ class IngestDaemon:
         port: int = 0,
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         retry: RetryPolicy = RetryPolicy(),
-        micro_batch: int = 0,
         heartbeat_interval: float | None = None,
     ) -> None:
         check_positive_int(credit_window, name="credit_window")
-        if micro_batch:
-            check_positive_int(micro_batch, name="micro_batch")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat_interval must be > 0, got {heartbeat_interval!r}"
@@ -1487,7 +1581,6 @@ class IngestDaemon:
         self._host = host
         self._port = port
         self._credit_window = int(credit_window)
-        self._micro_batch = int(micro_batch)
         self._retry = retry
         self._heartbeat_interval = heartbeat_interval
         self._server: asyncio.AbstractServer | None = None
@@ -1649,6 +1742,10 @@ class IngestDaemon:
                     ):
                         write_message(writer, self._drain_header())
                     await writer.drain()
+                    reply = await read_message(reader)
+                    if reply is None or reply[0].get("type") != "registered":
+                        raise ConnectionResetError("combiner did not register")
+                    self.folder.resume(reply[0].get("frontier"))
                 except _CONNECTION_ERRORS as exc:
                     last_error = exc
                     continue
@@ -1827,16 +1924,14 @@ class IngestDaemon:
     ) -> None:
         self._tracker.enter(writer)
         batch: list[tuple[str, Any]] = []
-        batch_rows = 0
         pending_read: asyncio.Future | None = None
 
         async def flush_batch() -> None:
             """Fold the coalesced envelopes, ship once, ack each in order."""
-            nonlocal batch, batch_rows
+            nonlocal batch
             if not batch:
                 return
             items, batch = batch, []
-            batch_rows = 0
             ship, dup_flags = self.folder.offer_batch(items)
             if ship is not None:
                 await self._ship(ship)
@@ -1856,10 +1951,10 @@ class IngestDaemon:
                 pending_read = asyncio.ensure_future(read_message(reader))
                 if batch and not pending_read.done():
                     # Give an already-buffered frame one loop cycle to
-                    # complete; only a genuinely idle link (the client is
-                    # waiting on acks) flushes the coalescing buffer
-                    # below the row budget — so backpressure semantics
-                    # are unchanged and acks are never withheld.
+                    # complete; a genuinely idle link (the client is
+                    # waiting on acks) flushes the coalescing buffer —
+                    # so the credit window bounds a batch and acks are
+                    # never withheld.
                     await asyncio.sleep(0)
                     if not pending_read.done():
                         await flush_batch()
@@ -1870,14 +1965,8 @@ class IngestDaemon:
                 header, arrays = message
                 kind = header.get("type")
                 if kind == "reports":
-                    envelope_id = str(header["envelope"])
                     payload = unpack_timed_reports(header, arrays)
-                    batch.append((envelope_id, payload))
-                    batch_rows += _payload_rows(payload)
-                    # Unbatched (micro_batch=0) is a row budget of 0:
-                    # every envelope folds, ships and acks on arrival.
-                    if batch_rows >= self._micro_batch:
-                        await flush_batch()
+                    batch.append((str(header["envelope"]), payload))
                 elif kind == "eof":
                     await flush_batch()
                     write_message(writer, {"type": "eof_ack"})
@@ -2184,7 +2273,6 @@ def _ingest_process_main(
     combiner_address: tuple[str, int],
     window: WindowSpec | None,
     credit_window: int,
-    micro_batch: int = 0,
     heartbeat_interval: float | None = None,
 ) -> None:
     """Entry point of one spawned ingest-worker process.
@@ -2200,7 +2288,6 @@ def _ingest_process_main(
             combiner_address,
             window=window,
             credit_window=credit_window,
-            micro_batch=micro_batch,
             heartbeat_interval=heartbeat_interval,
         )
         await daemon.start()
@@ -2431,7 +2518,6 @@ async def _run_service(
     window: WindowSpec | None,
     backend: str,
     credit_window: int,
-    micro_batch: int,
     faults: FaultPlan | None,
     lease_timeout: float | None,
     checkpoint_path: str | None,
@@ -2476,7 +2562,6 @@ async def _run_service(
                     combiner.address,
                     window=window,
                     credit_window=credit_window,
-                    micro_batch=micro_batch,
                     heartbeat_interval=heartbeat_interval,
                 )
                 await daemon.start()
@@ -2496,7 +2581,6 @@ async def _run_service(
                         combiner.address,
                         window,
                         credit_window,
-                        micro_batch,
                         heartbeat_interval,
                     ),
                     timeout=timeout,
@@ -2589,7 +2673,6 @@ def run_distributed_collection(
     backend: str = "inline",
     placement: str = "contiguous",
     credit_window: int = DEFAULT_CREDIT_WINDOW,
-    micro_batch: int | None = None,
     rng: np.random.Generator | int | None = None,
     ledger: PrivacyLedger | None = None,
     faults: FaultPlan | None = None,
@@ -2608,7 +2691,16 @@ def run_distributed_collection(
     the fleet's partials.  Because the accumulator algebra is exact,
     ``estimated_counts`` is **bit-identical** to the single-host
     pipeline for a fixed ``(num_ingest, chunk_size, rng)``, including
-    under injected duplicate delivery and worker restarts.
+    under injected duplicate delivery and worker restarts.  A windowed
+    run is a function of its inputs too: each worker judges lateness
+    against its own watermark, so the estimates, sealed windows and
+    late count equal one
+    :class:`~repro.protocol.streaming.EventTimeCollector` per shard
+    (that shard's envelopes in client order) with the shards' panes
+    merged — on either backend, at any ``credit_window``, and under
+    duplicates, worker restarts and combiner crashes.  Lease eviction
+    is the one exception: a worker that heals after its lease expired
+    finds panes sealed without it, and its reports for them count late.
 
     Parameters beyond the ``run_sharded_collection`` ones:
 
@@ -2623,18 +2715,12 @@ def run_distributed_collection(
     backend:
         ``"inline"`` (all daemons in this process's event loop) or
         ``"process"`` (one spawned OS process per ingest worker).
-    micro_batch:
-        When set, each ingest daemon coalesces queued delivery
-        envelopes into one fold batch of up to this many report rows
-        (flushing immediately whenever the link goes idle), amortizing
-        per-envelope ship round-trips and bookkeeping for small
-        uploads.  Acks, redelivery dedup, and credit backpressure are
-        per original envelope — a coalesced ship carries one partial
-        section per member envelope and the combiner dedups member by
-        member — so at-least-once semantics are unchanged even when a
-        worker restart regroups redelivered envelopes into different
-        batches.  Unset, the same buffer has a row budget of 0: every
-        envelope folds, ships and acks on arrival.
+    credit_window:
+        Envelopes a client may have unacked.  Each ingest daemon folds
+        the envelopes queued on its link as one batch whenever the link
+        goes idle, so this also bounds a batch; acks, redelivery dedup
+        and backpressure stay per envelope, and no output depends on
+        it.
     faults:
         A :class:`~repro.protocol.chaos.FaultPlan` to inject during the
         run — frame drops/duplicates/delays, scheduled worker
@@ -2727,8 +2813,6 @@ def run_distributed_collection(
                     "a 'kill' WorkerFault needs backend='inline' (the dead "
                     "worker is simulated inside the daemon)"
                 )
-    if micro_batch:
-        check_positive_int(micro_batch, name="micro_batch")
     vals = np.asarray(values)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("values must be a non-empty 1-D array")
@@ -2792,7 +2876,6 @@ def run_distributed_collection(
             window=window,
             backend=backend,
             credit_window=credit_window,
-            micro_batch=int(micro_batch or 0),
             faults=faults,
             lease_timeout=lease_timeout,
             checkpoint_path=checkpoint_path,

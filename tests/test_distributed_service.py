@@ -201,6 +201,42 @@ def test_folder_splits_envelopes_into_event_panes():
     assert folder.frontier == 25.0
 
 
+def test_folder_judges_lateness_against_its_own_watermark():
+    # Each envelope is judged against the folder's frontier before it,
+    # minus the lateness, as one collector per shard judges its stream.
+    # An envelope behind that watermark ships no partials, only its late
+    # count; a fresh folder, with no watermark yet, absorbs it.
+    oracle = make_oracle("DE", 4, 1.0)
+    window = WindowSpec.event_tumbling(1.0, allowed_lateness=0.25)
+    mk = lambda ts: TimedReports(
+        np.asarray(ts, float), oracle.privatize(np.arange(len(ts)) % 4, rng=1)
+    )
+    folder = ShardFolder(oracle, window=window)
+    ship, _ = folder.offer_batch(
+        [("a", mk([0.5, 3.5])), ("b", mk([0.9, 3.0, 3.6, 4.2]))]
+    )
+    # "a" has no watermark to trail; "b" trails 3.5 - 0.25, which pane 0
+    # (ending at 1.0) is behind.
+    assert ship.sections == (("a", 2), ("b", 2))
+    assert ship.late == (0, 1)
+    assert ship.pane_indices.tolist() == [0, 3, 3, 4]
+    assert ship.n.tolist() == [1, 1, 2, 1]
+    behind = folder.offer("c", mk([1.0, 2.0]))  # panes end at 2 and 3 <= 3.95
+    assert behind.sections == (("c", 0),) and behind.late == (2,)
+    assert behind.n.shape == (0,) and behind.pane_indices.shape == (0,)
+    assert behind.frontier == 4.2
+    fresh = ShardFolder(oracle, window=window).offer("c", mk([1.0, 2.0]))
+    assert fresh.late == (0,) and fresh.pane_indices.tolist() == [1, 2]
+    # The combiner adds each fresh section's late count.
+    core = CombinerCore(oracle, num_workers=1, window=window)
+    core.register(0)
+    core.receive(ship)
+    core.receive(behind)
+    result = core_result_after_drain(core)
+    assert (result.absorbed_reports, result.late_reports) == (5, 3)
+    assert [w.pane for w in result.windows] == [0, 3, 4]
+
+
 def test_folder_rejects_raw_batches_when_windowed():
     oracle = make_oracle("DE", 4, 1.0)
     folder = ShardFolder(oracle, window=WindowSpec.event_tumbling(10.0))
@@ -304,7 +340,7 @@ def test_coalesced_ship_sections_round_trip_the_wire():
 def _assert_same_ship(got, want):
     """Field-by-field ship equality (the arrays make ``==`` unusable)."""
     for field in ("worker_id", "envelope_id", "frontier", "num_reports",
-                  "sections", "kind", "config"):
+                  "sections", "late", "kind", "config"):
         assert getattr(got, field) == getattr(want, field), field
     assert got.n.dtype == np.int64 and np.array_equal(got.n, want.n)
     if want.pane_indices is None:
@@ -353,7 +389,7 @@ def test_ship_rows_round_trip_empty_unwindowed_and_negative_panes():
     # Negative panes merge and seal like any other on the combiner.
     core = CombinerCore(oracle, num_workers=1, window=window)
     core.register(0)
-    core.receive(_wire_round_trip(folder.offer(
+    core.receive(_wire_round_trip(ShardFolder(oracle, window=window).offer(
         "h", TimedReports(np.array([-7.0, -0.5, -0.6]), slice_report_batch(reports, np.arange(3)))
     )))
     result = core_result_after_drain(core)
@@ -376,6 +412,7 @@ def test_malformed_ship_changes_nothing_then_intact_ship_merges():
     for bad in (
         replace(ship, n=ship.n[:1]),  # short n vector
         replace(ship, n=negative),
+        replace(ship, late=ship.late[:1]),  # a late count short
         replace(ship, config=other.config),  # foreign fingerprint
     ):
         with pytest.raises(ValueError):
@@ -519,6 +556,46 @@ def test_restarted_worker_cannot_regress_the_watermark():
     f0b = ShardFolder(oracle, 0, window=window)
     core.receive(mk(f0b, "c", [4.0]))
     assert core.merged_frontier == 25.0
+
+
+def test_restarted_daemon_resumes_at_the_recorded_frontier():
+    # The combiner answers register with the frontier it recorded for
+    # the worker, and a restarted daemon's folder resumes there: an
+    # envelope its client resends is judged as the worker before it
+    # would have judged it, not as the first envelope of a new stream.
+    import asyncio
+
+    from repro.protocol import CombinerDaemon, IngestDaemon, feed_envelopes
+
+    oracle = make_oracle("DE", 4, 1.0)
+    window = WindowSpec.event_tumbling(1.0, allowed_lateness=0.25)
+    mk = lambda ts: TimedReports(
+        np.asarray(ts, float), oracle.privatize(np.arange(len(ts)) % 4, rng=2)
+    )
+
+    async def main():
+        combiner = CombinerDaemon(oracle, 1, window=window)
+        await combiner.start()
+        # The worker before the restart folded e0 and the combiner merged it.
+        combiner.core.register(0)
+        combiner.core.receive(
+            ShardFolder(oracle, 0, window=window).offer("e0", mk([2.5, 5.5]))
+        )
+        restarted = IngestDaemon(oracle, 0, combiner.address, window=window)
+        try:
+            await restarted.start()
+            frontier = restarted.folder.frontier
+            await feed_envelopes(restarted.address, [("e1", mk([5.0, 4.9, 6.1]))])
+            await asyncio.wait_for(restarted.run(), 30)
+        finally:
+            await restarted.close()
+            await combiner.close()
+        return frontier, combiner.core
+
+    frontier, core = asyncio.run(main())
+    assert frontier == 5.5
+    # 4.9 lies in pane 4, which ends at 5.0 <= 5.5 - 0.25.
+    assert (core.absorbed, core.late) == (4, 1)
 
 
 def test_combiner_result_requires_full_drain():
@@ -689,6 +766,78 @@ def test_process_backend_survives_worker_restart():
     assert svc.backend == "process"
 
 
+def test_windowed_process_run_with_faults_equals_the_crash_free_inline_run(
+    tmp_path,
+):
+    # A windowed run is a function of its inputs.  Real worker processes,
+    # one SIGKILLed and respawned mid-stream, duplicate delivery and a
+    # combiner crash-restore give the crash-free inline run's estimates,
+    # sealed windows and late count, and those equal one collector per
+    # shard fed that shard's envelopes in client order.
+    from repro.protocol import EventTimeCollector
+    from repro.protocol.service import _privatize_envelopes
+
+    gen = np.random.default_rng(12)
+    n, chunk, seed = 2400, 100, 41
+    oracle = make_oracle("OLH", 8, 1.2)
+    events = gen.uniform(0.0, 12.0, size=n)
+    delay = gen.exponential(1.5, size=n) * (gen.random(n) < 0.1)
+    arrival = np.argsort(events + delay, kind="stable")
+    vals, ts = gen.integers(0, 8, size=n)[arrival], events[arrival]
+    window = WindowSpec.event_tumbling(1.0, allowed_lateness=0.25)
+    common = dict(
+        num_ingest=2, chunk_size=chunk, rng=seed, timestamps=ts, window=window,
+        placement="round_robin",
+    )
+    clean = run_distributed_collection(oracle, vals, backend="inline", **common)
+    chaotic = run_distributed_collection(
+        oracle,
+        vals,
+        backend="process",
+        credit_window=2,
+        checkpoint_path=str(tmp_path / "combiner.ckpt"),
+        checkpoint_every_ships=1,
+        faults=FaultPlan(
+            seed=5,
+            duplicate_every=3,
+            crash_combiner_at_ships=(4,),
+            worker_faults=(WorkerFault(worker=1, after_envelopes=5, kind="restart"),),
+        ),
+        **common,
+    )
+    assert chaotic.combiner_restarts == 1
+    assert sum(w.duplicate_envelopes for w in chaotic.workers) > 0
+    assert clean.late_reports > 0
+    for run in (clean, chaotic):
+        assert run.absorbed_reports + run.late_reports == n
+    assert (chaotic.absorbed_reports, chaotic.late_reports) == (
+        clean.absorbed_reports, clean.late_reports
+    )
+    assert np.array_equal(chaotic.estimated_counts, clean.estimated_counts)
+    assert [(w.pane, w.users) for w in chaotic.windows] == [
+        (w.pane, w.users) for w in clean.windows
+    ]
+    for got, want in zip(chaotic.windows, clean.windows):
+        assert np.array_equal(got.estimated_counts, want.estimated_counts)
+    gens = np.random.default_rng(seed).spawn(2)
+    late, users = 0, {}
+    for w in range(2):
+        collector = EventTimeCollector(oracle, window, user_model="disjoint_users")
+        for _, timed in _privatize_envelopes(
+            oracle, w, vals[w::2], ts[w::2], chunk, gens[w]
+        ):
+            collector.absorb(timed)
+        result = collector.finish()
+        late += result.late_reports
+        for snap in result.snapshots:
+            pane = snap.window_index
+            users[pane] = users.get(pane, 0) + snap.window_users
+    assert clean.late_reports == late
+    assert [(w.pane, w.users) for w in clean.windows] == [
+        (p, u) for p, u in sorted(users.items()) if u
+    ]
+
+
 def test_orchestrator_validation():
     oracle = make_oracle("DE", 4, 1.0)
     vals = np.arange(8) % 4
@@ -744,6 +893,8 @@ def test_combiner_crash_restore_bit_identical(tmp_path):
         chunk_size=90,
         rng=31,
         backend="inline",
+        # One envelope per ship, so the run ships often enough to crash.
+        credit_window=1,
         faults=FaultPlan(seed=8, crash_combiner_at_ships=(3,)),
         checkpoint_path=str(tmp_path / "combiner.ckpt"),
     )
@@ -770,6 +921,7 @@ def test_combiner_double_crash_with_loose_cadence(tmp_path):
         chunk_size=80,
         rng=13,
         backend="inline",
+        credit_window=1,  # one envelope per ship: both crashes fire
         faults=FaultPlan(seed=1, crash_combiner_at_ships=(2, 3)),
         checkpoint_path=str(tmp_path / "combiner.ckpt"),
         checkpoint_every_ships=3,
