@@ -42,7 +42,6 @@ __all__ = [
     "split_by_key",
     "concat_report_batches",
     "concat_timed_reports",
-    "merge_event_spans",
     "merged_watermark",
 ]
 
@@ -149,33 +148,6 @@ def concat_timed_reports(envelopes: list["TimedReports"]) -> "TimedReports":
         timestamps=np.concatenate([e.timestamps for e in envelopes]),
         reports=concat_report_batches([e.reports for e in envelopes]),
     )
-
-
-def merge_event_spans(
-    spans: Iterable[tuple[float, float] | None],
-) -> tuple[float, float] | None:
-    """The ``(earliest, latest)`` union of per-shard event spans.
-
-    Shards that carried no event-time data report a ``None`` span and
-    are excluded; when every span is ``None`` (or ``spans`` is empty)
-    the merged span is ``None`` too — a collection with no event clock
-    has no span, not a degenerate one.  This is the reduction
-    ``ShardedCollectionStats.event_span`` and the distributed combiner
-    both apply to their shards' spans.
-    """
-    lo = math.inf
-    hi = -math.inf
-    saw_any = False
-    for span in spans:
-        if span is None:
-            continue
-        start, end = float(span[0]), float(span[1])
-        if end < start:
-            raise ValueError(f"event span {span!r} ends before it starts")
-        lo = min(lo, start)
-        hi = max(hi, end)
-        saw_any = True
-    return (lo, hi) if saw_any else None
 
 
 def merged_watermark(frontiers: Iterable[float | None]) -> float:

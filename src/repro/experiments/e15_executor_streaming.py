@@ -2,13 +2,12 @@
 
 Two questions the deployment story raises after E14:
 
-1. **Backends** — the same sharded OLH collection is run on the serial,
-   thread-pool and process-pool executors.  All three consume identical
-   per-shard RNG streams, so the estimates are bit-identical (the rows'
+1. **Backends** — the same sharded OLH collection is run on the serial
+   and thread-pool executors.  Both consume identical per-shard RNG
+   streams, so the estimates are bit-identical (the rows'
    ``mean_abs_err`` agree exactly); what differs is wall time — threads
-   win when NumPy kernels release the GIL, processes pay worker startup
-   and wire (de)serialization but sidestep the GIL entirely, which is
-   the multi-machine shape.
+   win when NumPy kernels release the GIL.  Collection across processes
+   is the distributed service's job (E20).
 2. **Streaming** — the same population arrives as an ordered stream cut
    into tumbling windows; each window close emits a snapshot (window +
    cumulative estimates) off the live accumulator.  ``snapshot_ms``
@@ -16,9 +15,8 @@ Two questions the deployment story raises after E14:
    + merge + finalize, independent of how many users have streamed by.
 
 Expected shape: backend rows share one error number and order serial ≥
-thread on wall time (process depends on host fork cost); streaming
-snapshot latency is flat across windows while cumulative error falls as
-users accumulate.
+thread on wall time; streaming snapshot latency is flat across windows
+while cumulative error falls as users accumulate.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ def run(
     num_shards: int = 4,
     chunk_size: int = 65_536,
     workers: int = 4,
-    backends: tuple[str, ...] = ("serial", "thread", "process"),
+    backends: tuple[str, ...] = ("serial", "thread"),
     num_windows: int = 8,
     seed: int = 15,
 ) -> Table:

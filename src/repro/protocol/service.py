@@ -72,6 +72,7 @@ from repro.core.timed import (
     split_by_key,
 )
 from repro.protocol.chaos import FaultPlan, FrameFilter, WorkerFault, chaos_unit
+from repro.protocol.simulation import _chunks, _plan_shards
 from repro.protocol.streaming import WindowSpec
 from repro.protocol.transport import (
     CheckpointError,
@@ -82,7 +83,6 @@ from repro.protocol.transport import (
     unpack_timed_reports,
     write_message,
 )
-from repro.util.rng import ensure_generator
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -2247,21 +2247,22 @@ def _privatize_envelopes(
     chunk_size: int,
     gen: np.random.Generator,
 ) -> list[tuple[str, Any]]:
-    """One worker's envelope stream — the exact chunking and RNG stream
-    ``run_sharded_collection`` gives shard ``worker_id``, so the service
-    and the single-host pipeline fold byte-identical report batches."""
+    """One worker's envelope stream: its shard of the shared plan, cut
+    into ``run_sharded_collection``'s chunks and privatized from the
+    shard's generator in chunk order, so the service and the single-host
+    pipeline fold byte-identical report batches."""
+    chunks = _chunks(shard_values, chunk_size)
+    stamps = (
+        _chunks(shard_timestamps, chunk_size)
+        if shard_timestamps is not None
+        else [None] * len(chunks)
+    )
     envelopes: list[tuple[str, Any]] = []
-    for chunk_index, start in enumerate(
-        range(0, shard_values.shape[0], chunk_size)
-    ):
-        chunk = shard_values[start : start + chunk_size]
+    for chunk_index, (chunk, stamp) in enumerate(zip(chunks, stamps)):
         reports = oracle.privatize(chunk, rng=gen)
         payload: Any = reports
-        if shard_timestamps is not None:
-            payload = TimedReports(
-                timestamps=shard_timestamps[start : start + chunk_size],
-                reports=reports,
-            )
+        if stamp is not None:
+            payload = TimedReports(timestamps=stamp, reports=reports)
         envelopes.append((f"w{worker_id}:c{chunk_index}", payload))
     return envelopes
 
@@ -2341,12 +2342,6 @@ class _ProcessWorker:
         self.process.kill()
         await loop.run_in_executor(None, self.process.join)
         await self.start()
-
-    async def kill(self) -> None:
-        """SIGKILL the worker and leave it dead (lease eviction's job)."""
-        loop = asyncio.get_running_loop()
-        self.process.kill()
-        await loop.run_in_executor(None, self.process.join)
 
     def stop(self) -> None:
         if self.process is not None and self.process.is_alive():
@@ -2605,15 +2600,12 @@ async def _run_service(
                 if wf.kind == "restart":
                     fault_callback = process_workers[worker_id].restart
                 elif wf.kind == "kill":
-                    if backend == "process":
-                        fault_callback = process_workers[worker_id].kill
-                    else:
-                        daemon = inline_daemons[worker_id]
+                    daemon = inline_daemons[worker_id]
 
-                        async def _kill(d=daemon):
-                            d.simulate_kill()
+                    async def _kill(d=daemon):
+                        d.simulate_kill()
 
-                        fault_callback = _kill
+                    fault_callback = _kill
                 else:  # partition
                     daemon = inline_daemons[worker_id]
 
@@ -2683,15 +2675,17 @@ def run_distributed_collection(
 ) -> ServiceResult:
     """Collect a population through the socket-level distributed service.
 
-    The orchestrator privatizes the population exactly as
-    :func:`~repro.protocol.simulation.run_sharded_collection` would —
-    same contiguous ``np.array_split`` shards, same per-shard spawned
-    generators, same ``chunk_size`` chunking — then drives one client
-    per ingest worker over real loopback TCP, with the combiner merging
-    the fleet's partials.  Because the accumulator algebra is exact,
-    ``estimated_counts`` is **bit-identical** to the single-host
-    pipeline for a fixed ``(num_ingest, chunk_size, rng)``, including
-    under injected duplicate delivery and worker restarts.  A windowed
+    The orchestrator validates, charges and shards the population
+    through the shard plan
+    :func:`~repro.protocol.simulation.run_sharded_collection` uses —
+    same shards, same per-shard spawned generators, same ``chunk_size``
+    chunks — so both privatize the same report batches; it then drives
+    one client per ingest worker over real loopback TCP, with the
+    combiner merging the fleet's partials.  Because the accumulator
+    algebra is exact, ``estimated_counts`` is **bit-identical** to the
+    single-host pipeline for a fixed ``(num_ingest, chunk_size, rng)``,
+    including under injected duplicate delivery and worker restarts, on
+    either backend.  A windowed
     run is a function of its inputs too: each worker judges lateness
     against its own watermark, so the estimates, sealed windows and
     late count equal one
@@ -2704,6 +2698,9 @@ def run_distributed_collection(
 
     Parameters beyond the ``run_sharded_collection`` ones:
 
+    timestamps:
+        Event time per user, aligned with ``values`` and finite; each
+        envelope carries its users' times.  A windowed run needs them.
     placement:
         ``"contiguous"`` mirrors the single-host shard split (the
         bit-identity configuration).  ``"round_robin"`` deals users
@@ -2813,52 +2810,20 @@ def run_distributed_collection(
                     "a 'kill' WorkerFault needs backend='inline' (the dead "
                     "worker is simulated inside the daemon)"
                 )
-    vals = np.asarray(values)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("values must be a non-empty 1-D array")
-    ts = None
-    if timestamps is not None:
-        ts = np.asarray(timestamps, dtype=np.float64)
-        if ts.shape != vals.shape:
-            raise ValueError(
-                f"timestamps {ts.shape} must align with values {vals.shape}"
-            )
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("timestamps must be finite")
-    if num_ingest > vals.shape[0]:
-        raise ValueError(
-            f"num_ingest ({num_ingest}) cannot exceed the population "
-            f"size ({vals.shape[0]})"
-        )
-    if ledger is None:
-        ledger = PrivacyLedger()
-    spend = getattr(oracle, "privacy_spend", None)
-    if callable(spend):
-        # Workers partition the population, so the round is one declared
-        # release per user — same accounting as the single-host pipeline.
-        ledger.charge(spend(), label="distributed-collection", key=object())
-    master = ensure_generator(rng)
-    worker_gens = master.spawn(num_ingest)
-    if placement == "contiguous":
-        shard_values = np.array_split(vals, num_ingest)
-        shard_ts = np.array_split(ts, num_ingest) if ts is not None else None
-    else:
-        shard_values = [vals[w::num_ingest] for w in range(num_ingest)]
-        shard_ts = (
-            [ts[w::num_ingest] for w in range(num_ingest)]
-            if ts is not None
-            else None
-        )
+    ledger, shards = _plan_shards(
+        oracle,
+        values,
+        num_ingest,
+        count_name="num_ingest",
+        label="distributed-collection",
+        rng=rng,
+        ledger=ledger,
+        timestamps=timestamps,
+        round_robin=placement == "round_robin",
+    )
     worker_envelopes = [
-        _privatize_envelopes(
-            oracle,
-            w,
-            shard_values[w],
-            shard_ts[w] if shard_ts is not None else None,
-            chunk_size,
-            worker_gens[w],
-        )
-        for w in range(num_ingest)
+        _privatize_envelopes(oracle, w, shard_values, shard_ts, chunk_size, gen)
+        for w, (shard_values, shard_ts, gen) in enumerate(shards)
     ]
     if faults is not None:
         for wf in faults.worker_faults:

@@ -19,23 +19,20 @@ Two collection shapes are offered:
   Raw report batches never outlive the chunk after theirs, so peak
   memory is ``O(workers · chunk)`` regardless of the population size.
 
-Shards can be collected on three executor backends:
+Shards can be collected on two executor backends:
 
 * ``"serial"`` — in the calling thread, one shard after another, with
   one client thread per shard privatizing the next chunk while the
   calling thread absorbs the current one (two chunks in flight);
 * ``"thread"`` — a thread pool (NumPy kernels release the GIL for most
-  of the work, so encode scales);
-* ``"process"`` — a process pool: each worker receives the oracle
-  configuration, its shard's values and its spawned generator, collects
-  locally, and returns its accumulator *serialized* through the
-  versioned wire format (:mod:`repro.core.serialization`); the parent
-  hydrates and merges.  This is the multi-machine shape — nothing
-  crosses the process boundary except picklable config and wire bytes.
+  of the work, so encode scales).
 
-Every backend consumes identical per-shard RNG streams, so for a fixed
-``(num_shards, chunk_size, rng)`` the estimates are bit-identical across
-backends (SHE matches to ~1e-9: float summation order).
+Both backends consume identical per-shard RNG streams, so for a fixed
+``(num_shards, chunk_size, rng)`` the estimates are bit-identical
+across backends.  Collection across processes is the service's job
+(:func:`~repro.protocol.service.run_distributed_collection`), which
+deals its population through this module's one shard plan
+(:func:`_plan_shards`) and so privatizes the same report batches.
 
 Mechanisms own all the cryptographic substance; this module adds
 population handling, sharding and bookkeeping.
@@ -44,15 +41,14 @@ population handling, sharding and bookkeeping.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.budget import PrivacyLedger
 from repro.core.mechanism import FrequencyOracle, HashedReports, IndexedBitReports
-from repro.core.timed import merge_event_spans
 from repro.util.kernels import kernel_timing_scope
 from repro.util.rng import ensure_generator
 from repro.util.validation import check_positive_int
@@ -68,7 +64,7 @@ __all__ = [
 ]
 
 #: Executor backends understood by :func:`run_sharded_collection`.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 @dataclass(frozen=True)
@@ -96,11 +92,6 @@ class ShardStats:
     while the shard absorbs the current one, so the two overlap and
     their sum can exceed the shard's wall time.
 
-    ``event_span`` is the ``(earliest, latest)`` event timestamp the
-    shard's reports carry when the collection was given timestamped
-    inputs (``None`` otherwise) — the per-shard completeness signal a
-    downstream event-time window would build its watermark from.
-
     ``decode_hash_seconds``/``decode_accumulate_seconds`` split the
     decode-kernel compute between hashing (affine evaluation + modular
     reductions) and accumulation (compare + count), as reported by
@@ -124,7 +115,6 @@ class ShardStats:
     encode_seconds: float
     decode_seconds: float
     bytes_per_report: float
-    event_span: tuple[float, float] | None = None
     decode_hash_seconds: float = 0.0
     decode_accumulate_seconds: float = 0.0
     kernel_worker_tiles: tuple[tuple[int, int], ...] = ()
@@ -157,17 +147,6 @@ class ShardedCollectionStats:
     wall_seconds: float
     backend: str = "serial"
     ledger: PrivacyLedger | None = None
-
-    @property
-    def event_span(self) -> tuple[float, float] | None:
-        """Union of the per-shard event spans (None without timestamps).
-
-        Derived through :func:`repro.core.timed.merge_event_spans` — the
-        same reduction a distributed combiner applies to the spans its
-        remote shards report — so the overall span can never disagree
-        with the shards it summarizes.
-        """
-        return merge_event_spans(s.event_span for s in self.shards)
 
     @property
     def encode_seconds(self) -> float:
@@ -254,6 +233,75 @@ def run_collection(
     )
 
 
+def _plan_shards(
+    oracle: FrequencyOracle,
+    values: np.ndarray,
+    num_shards: int,
+    *,
+    count_name: str,
+    label: str,
+    rng: np.random.Generator | int | None,
+    ledger: PrivacyLedger | None,
+    timestamps: np.ndarray | None = None,
+    round_robin: bool = False,
+) -> tuple[
+    PrivacyLedger, list[tuple[np.ndarray, np.ndarray | None, np.random.Generator]]
+]:
+    """The one shard plan of both collection entry points.
+
+    Checks ``values``, ``timestamps`` and the shard count (named
+    ``count_name`` in errors), charges ``ledger`` (a fresh one when
+    ``None``) once under ``label`` before any client is privatized, spawns
+    one generator per shard from ``rng`` and splits the population
+    contiguously or, with ``round_robin``, user ``i`` to shard
+    ``i % num_shards``.  Returns the ledger and one ``(values, timestamps
+    or None, generator)`` per shard.
+    """
+    vals = np.asarray(values)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValueError("values must be a non-empty 1-D array")
+    ts = None
+    if timestamps is not None:
+        ts = np.asarray(timestamps, dtype=np.float64)
+        if ts.shape != vals.shape:
+            raise ValueError(
+                f"timestamps {ts.shape} must align with values {vals.shape}"
+            )
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("timestamps must be finite")
+    if num_shards > vals.shape[0]:
+        raise ValueError(
+            f"{count_name} ({num_shards}) cannot exceed the population "
+            f"size ({vals.shape[0]})"
+        )
+    if ledger is None:
+        ledger = PrivacyLedger()
+    spend = getattr(oracle, "privacy_spend", None)
+    if callable(spend):
+        # Shards partition the population (disjoint users), so the whole
+        # round costs each user exactly one declared release.  Every call
+        # privatizes with fresh randomness — an independent release even
+        # for one-time mechanisms — so the charge key is unique per call.
+        ledger.charge(spend(), label=label, key=object())
+    gens = ensure_generator(rng).spawn(num_shards)
+
+    def split(arr: np.ndarray) -> list[np.ndarray]:
+        if round_robin:
+            return [arr[w::num_shards] for w in range(num_shards)]
+        return np.array_split(arr, num_shards)
+
+    shard_ts = split(ts) if ts is not None else [None] * num_shards
+    return ledger, list(zip(split(vals), shard_ts, gens))
+
+
+def _chunks(shard: np.ndarray, chunk_size: int) -> list[np.ndarray]:
+    """``shard`` cut, in order, into chunks of at most ``chunk_size``."""
+    return [
+        shard[start : start + chunk_size]
+        for start in range(0, shard.shape[0], chunk_size)
+    ]
+
+
 def _collect_shard(
     oracle: FrequencyOracle,
     shard_index: int,
@@ -273,10 +321,7 @@ def _collect_shard(
     An error in either thread propagates once the client has stopped.
     """
     acc = oracle.accumulator()
-    chunks = [
-        shard_values[start : start + chunk_size]
-        for start in range(0, shard_values.shape[0], chunk_size)
-    ]
+    chunks = _chunks(shard_values, chunk_size)
 
     def privatize(chunk):
         t0 = time.perf_counter()
@@ -320,22 +365,6 @@ def _collect_shard(
     return acc, stats
 
 
-def _collect_shard_serialized(
-    args: tuple[FrequencyOracle, int, np.ndarray, int, np.random.Generator],
-) -> tuple[bytes, ShardStats]:
-    """Process-pool worker: collect one shard, return wire bytes + stats.
-
-    Must stay a module-level function so the pool can pickle it.  The
-    oracle travels to the worker as configuration (oracles are small,
-    picklable parameter objects); the accumulator travels *back* through
-    the versioned wire format rather than as a pickle, exactly as a
-    remote shard collector would ship its summary.
-    """
-    oracle, shard_index, shard_values, chunk_size, gen = args
-    acc, stats = _collect_shard(oracle, shard_index, shard_values, chunk_size, gen)
-    return acc.to_bytes(), stats
-
-
 def _resolve_backend(backend: str | None, workers: int | None) -> str:
     """Pick the executor backend, honouring the pre-backend workers API."""
     if backend is None:
@@ -357,7 +386,6 @@ def run_sharded_collection(
     backend: str | None = None,
     rng: np.random.Generator | int | None = None,
     ledger: PrivacyLedger | None = None,
-    timestamps: np.ndarray | None = None,
 ) -> ShardedCollectionStats:
     """Collect a population through the sharded accumulator pipeline.
 
@@ -368,8 +396,8 @@ def run_sharded_collection(
     backend one client thread privatizes chunk ``i + 1`` while the
     calling thread absorbs chunk ``i``, so privatization and decode
     share the cores and at most two chunks' reports are alive; a shard
-    of one chunk privatizes inline.  The thread and process backends
-    already overlap shards, and privatize inline.  Shard
+    of one chunk privatizes inline.  The thread backend already
+    overlaps shards, and privatizes inline.  Shard
     accumulators are then merged *into a fresh accumulator* in shard
     order and finalized once; no shard's state is mutated by the merge,
     so per-shard accumulators (and anything derived from them) remain
@@ -387,17 +415,13 @@ def run_sharded_collection(
         Maximum clients privatized at once within a shard (the memory
         bound: the serial backend holds at most two chunks' reports).
     workers:
-        Pool size for the ``"thread"``/``"process"`` backends.  ``None``
-        defaults to ``num_shards`` there; the serial backend ignores it.
+        Pool size for the ``"thread"`` backend.  ``None`` defaults to
+        ``num_shards`` there; the serial backend ignores it.
     backend:
-        ``"serial"``, ``"thread"`` or ``"process"``.  ``None`` keeps the
-        historical behaviour: a thread pool when ``workers > 1``, serial
-        otherwise.  The process backend ships (oracle config, shard
-        values, spawned generator) to each worker and merges the wire-
-        serialized accumulators the workers return — estimates are
-        bit-identical to the serial backend for every oracle (SHE to
-        ~1e-9) because every backend consumes the same per-shard
-        streams.
+        ``"serial"`` or ``"thread"``.  ``None`` keeps the historical
+        behaviour: a thread pool when ``workers > 1``, serial otherwise.
+        Estimates are bit-identical across backends for every oracle,
+        because both consume the same per-shard streams.
     rng:
         Master seed/generator.  Each shard draws from its own generator
         spawned off the master, so results are reproducible and
@@ -409,12 +433,6 @@ def run_sharded_collection(
         (:meth:`~repro.core.mechanism.LocalMechanism.privacy_spend`),
         charged *before* any client is privatized so a capped ledger
         refuses the round outright.
-    timestamps:
-        Optional event time per user (aligned with ``values``).  The
-        estimates never depend on them — a one-shot batch covers its
-        whole time range — but each shard's ``event_span`` and the
-        collection's overall span are recorded, which is what an
-        event-time windowing stage downstream keys on.
 
     Returns
     -------
@@ -427,84 +445,45 @@ def run_sharded_collection(
     if workers is not None:
         check_positive_int(workers, name="workers")
     chosen = _resolve_backend(backend, workers)
-    vals = np.asarray(values)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("values must be a non-empty 1-D array")
-    ts = None
-    if timestamps is not None:
-        ts = np.asarray(timestamps, dtype=np.float64)
-        if ts.shape != vals.shape:
-            raise ValueError(
-                f"timestamps {ts.shape} must align with values {vals.shape}"
-            )
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("timestamps must be finite")
-    if num_shards > vals.shape[0]:
-        raise ValueError(
-            f"num_shards ({num_shards}) cannot exceed the population "
-            f"size ({vals.shape[0]})"
-        )
-    if ledger is None:
-        ledger = PrivacyLedger()
-    spend = getattr(oracle, "privacy_spend", None)
-    if callable(spend):
-        # Shards partition the population (disjoint users), so the whole
-        # round costs each user exactly one declared release.  Every call
-        # privatizes with fresh randomness — an independent release even
-        # for one-time mechanisms — so the charge key is unique per call.
-        ledger.charge(spend(), label="sharded-collection", key=object())
-    master = ensure_generator(rng)
-    shard_gens = master.spawn(num_shards)
-    shard_values = np.array_split(vals, num_shards)
-    shard_args = [
-        (oracle, i, shard_values[i], chunk_size, shard_gens[i])
-        for i in range(num_shards)
-    ]
+    ledger, shards = _plan_shards(
+        oracle,
+        values,
+        num_shards,
+        count_name="num_shards",
+        label="sharded-collection",
+        rng=rng,
+        ledger=ledger,
+    )
     pool_size = min(workers if workers is not None else num_shards, num_shards)
 
+    def collect(index: int):
+        shard_values, _, gen = shards[index]
+        return _collect_shard(
+            oracle, index, shard_values, chunk_size, gen,
+            client_ahead=chosen == "serial",
+        )
+
     t_start = time.perf_counter()
-    serialized: list[bytes] | None = None
-    if chosen == "process":
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            shipped = list(pool.map(_collect_shard_serialized, shard_args))
-        serialized = [payload for payload, _ in shipped]
-        shard_stats = [stats for _, stats in shipped]
-    elif chosen == "thread" and pool_size > 1:
+    if chosen == "thread" and pool_size > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(lambda args: _collect_shard(*args), shard_args))
+            outcomes = list(pool.map(collect, range(num_shards)))
     else:
-        outcomes = [
-            _collect_shard(*args, client_ahead=chosen == "serial")
-            for args in shard_args
-        ]
+        outcomes = [collect(index) for index in range(num_shards)]
 
     t_merge = time.perf_counter()
     merged = oracle.accumulator()
-    if serialized is not None:
-        # Hydrate each worker's wire payload into a fresh accumulator of
-        # the parent's configuration (fingerprints are verified) and fold.
-        for payload in serialized:
-            merged.merge(oracle.accumulator().from_bytes(payload))
-    else:
-        shard_stats = [stats for _, stats in outcomes]
-        for acc, _ in outcomes:
-            merged.merge(acc)
+    for acc, _ in outcomes:
+        merged.merge(acc)
     t_finalize = time.perf_counter()
     counts = merged.finalize()
     t_end = time.perf_counter()
 
-    if ts is not None:
-        shard_stats = [
-            replace(s, event_span=(float(t.min()), float(t.max())))
-            for s, t in zip(shard_stats, np.array_split(ts, num_shards))
-        ]
-
     return ShardedCollectionStats(
         estimated_counts=counts,
-        num_users=int(vals.shape[0]),
+        num_users=sum(stats.num_users for _, stats in outcomes),
         num_shards=num_shards,
         chunk_size=chunk_size,
-        shards=tuple(shard_stats),
+        shards=tuple(stats for _, stats in outcomes),
         merge_seconds=t_finalize - t_merge,
         finalize_seconds=t_end - t_finalize,
         wall_seconds=t_end - t_start,

@@ -1,63 +1,10 @@
-"""Unit tests for the shared event-span / watermark merge helpers."""
+"""Unit tests for the fleet watermark merge helper."""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.core.timed import merge_event_spans, merged_watermark
-
-
-class TestMergeEventSpans:
-    def test_empty_is_none(self):
-        assert merge_event_spans([]) is None
-
-    def test_all_none_is_none(self):
-        assert merge_event_spans([None, None]) is None
-
-    def test_single_shard_passes_through(self):
-        assert merge_event_spans([(3.0, 9.5)]) == (3.0, 9.5)
-
-    def test_union_skips_none_shards(self):
-        spans = [(5.0, 8.0), None, (2.0, 6.0), None, (7.0, 11.0)]
-        assert merge_event_spans(spans) == (2.0, 11.0)
-
-    def test_inverted_span_rejected(self):
-        with pytest.raises(ValueError, match="ends before it starts"):
-            merge_event_spans([(4.0, 1.0)])
-
-    def test_matches_sharded_collection_stats(self):
-        # The rewired ShardedCollectionStats.event_span must agree with
-        # the raw timestamps it summarizes.
-        from repro.core import make_oracle
-        from repro.protocol import run_sharded_collection
-
-        ts = np.random.default_rng(3).uniform(50.0, 99.0, size=40)
-        stats = run_sharded_collection(
-            make_oracle("DE", 5, 1.0),
-            np.arange(40) % 5,
-            num_shards=3,
-            chunk_size=7,
-            rng=1,
-            timestamps=ts,
-        )
-        assert stats.event_span == (float(ts.min()), float(ts.max()))
-        assert merge_event_spans(s.event_span for s in stats.shards) == (
-            stats.event_span
-        )
-
-    def test_sharded_collection_without_timestamps_has_no_span(self):
-        from repro.core import make_oracle
-        from repro.protocol import run_sharded_collection
-
-        stats = run_sharded_collection(
-            make_oracle("DE", 5, 1.0),
-            np.arange(40) % 5,
-            num_shards=3,
-            chunk_size=7,
-            rng=1,
-        )
-        assert stats.event_span is None
+from repro.core.timed import merged_watermark
 
 
 class TestMergedWatermark:

@@ -20,7 +20,7 @@ from repro.core.mechanism import HashedReports
 from repro.protocol import (
     EventTimeCollector,
     WindowSpec,
-    run_sharded_collection,
+    run_distributed_collection,
     stream_collection,
 )
 from repro.systems.microsoft import OneBitMean
@@ -607,33 +607,11 @@ class TestEventTimeAccounting:
 
 
 class TestShardedTimestamps:
-    def test_event_span_recorded_per_shard_and_overall(self):
-        oracle = make_oracle("OUE", 8, 1.0)
-        n = 200
-        values = np.random.default_rng(50).integers(0, 8, n)
-        ts = np.linspace(5.0, 7.0, n)
-        stats = run_sharded_collection(
-            oracle, values, num_shards=4, chunk_size=32, rng=51, timestamps=ts
-        )
-        assert stats.event_span == (5.0, 7.0)
-        assert len(stats.shards) == 4
-        lows = [s.event_span[0] for s in stats.shards]
-        highs = [s.event_span[1] for s in stats.shards]
-        assert lows == sorted(lows) and highs == sorted(highs)
-        assert stats.shards[0].event_span[0] == 5.0
-        assert stats.shards[-1].event_span[1] == 7.0
-        # Timestamps never change the estimates.
-        plain = run_sharded_collection(
-            oracle, values, num_shards=4, chunk_size=32, rng=51
-        )
-        assert np.array_equal(stats.estimated_counts, plain.estimated_counts)
-        assert plain.event_span is None
-
     def test_misaligned_timestamps_rejected(self):
         oracle = make_oracle("DE", 4, 1.0)
-        with pytest.raises(ValueError):
-            run_sharded_collection(
-                oracle, np.arange(4), num_shards=2, timestamps=np.arange(3)
+        with pytest.raises(ValueError, match="align"):
+            run_distributed_collection(
+                oracle, np.arange(4), num_ingest=2, timestamps=np.arange(3.0)
             )
 
     def test_driver_validation(self):
