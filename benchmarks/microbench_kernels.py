@@ -9,7 +9,9 @@ bit-sliced Hadamard kernel also at a 2^20 domain with 1024 candidates),
 the OLH kernel on one pool thread against two at ldpbench's batch and
 heavy-hitter chunk shapes, the OLH client ``privatize`` cost per user,
 the segmented OLH decode of a key-sorted batch against one fused call
-per segment (rows checked against the reference on every segment),
+per segment (rows checked against the reference on every segment), the
+shared-seed ``SeededHashFamily.apply_all`` (CMS and RAPPOR hashing, 16
+functions into 4,096 buckets) against its two-``%`` reference,
 cached-plan streaming absorption against per-pane plan rebuild, and the
 vectorized session sweep against the per-report reference walk; prints
 the speedups, and **fails** (exit 1) if any fast-path output is not
@@ -34,7 +36,7 @@ from repro.core.hadamard import HadamardResponse
 from repro.core.mechanism import IndexedBitReports
 from repro.core.timed import slice_report_batch
 from repro.protocol import EventTimeCollector, WindowSpec
-from repro.util.hashing import _premix, params_from_seeds
+from repro.util.hashing import SeededHashFamily, _premix, params_from_seeds
 from repro.util.kernels import (
     FusedSupportKernel,
     HadamardCandidatePlan,
@@ -162,6 +164,17 @@ def main(argv=None) -> int:
         f"olh-seg n={seg_n} d={args.domain} segments={starts.size}: "
         f"per-segment {per_segment_s:.3f}s segmented {segmented_s:.3f}s "
         f"speedup {per_segment_s / segmented_s:.2f}x bit_identical={identical}"
+    )
+
+    family = SeededHashFamily(16, 4096, master_seed=1888)
+    ref, ref_s = _time(lambda: family._reference_apply_all(values))
+    fast, fast_s = _time(lambda: family.apply_all(values))
+    identical = np.array_equal(ref, fast)
+    ok &= identical
+    print(
+        f"family n={args.users} k=16 m=4096: "
+        f"ref {ref_s:.3f}s apply_all {fast_s:.3f}s "
+        f"speedup {ref_s / fast_s:.2f}x bit_identical={identical}"
     )
 
     hr = HadamardResponse(args.domain, args.epsilon)

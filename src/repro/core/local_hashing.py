@@ -177,10 +177,10 @@ class _LocalHashing(PureFrequencyOracle):
         """The pre-kernel decode path (bit-identity oracle for tests/benches).
 
         Hashes each candidate under every user's function in
-        bounded-memory chunks via the materializing ``hash_cross`` and
-        extracts matches with a full comparison matrix — the two-``%``,
-        three-temporaries-per-chunk implementation the fused kernel
-        replaced.
+        bounded-memory chunks via the materializing
+        ``_reference_hash_cross`` and extracts matches with a full
+        comparison matrix — the two-``%``, three-temporaries-per-chunk
+        implementation the fused kernel replaced.
         """
         self._check_reports(reports)
         cands = check_domain_values(candidates, self._domain_size, name="candidates")

@@ -6,8 +6,9 @@ Two questions the deployment story raises after E14:
    and thread-pool executors.  Both consume identical per-shard RNG
    streams, so the estimates are bit-identical (the rows'
    ``mean_abs_err`` agree exactly); what differs is wall time — threads
-   win when NumPy kernels release the GIL.  Collection across processes
-   is the distributed service's job (E20).
+   win when NumPy kernels release the GIL.  Each backend row times the
+   fastest of three identical runs.  Collection across processes is the
+   distributed service's job (E20).
 2. **Streaming** — the same population arrives as an ordered stream cut
    into tumbling windows; each window close emits a snapshot (window +
    cumulative estimates) off the live accumulator.  ``snapshot_ms``
@@ -29,6 +30,11 @@ from repro.experiments.common import zipf_instance
 from repro.protocol import run_sharded_collection, stream_collection
 
 __all__ = ["run", "main"]
+
+#: Backend rows report the fastest of this many identical runs: at smoke
+#: scale a run takes tens of milliseconds, where first-touch and
+#: scheduler noise dominate a single sample.
+_BACKEND_REPEATS = 3
 
 
 def run(
@@ -67,16 +73,26 @@ def run(
         "backend rows share one mean_abs_err: estimates are bit-identical "
         "across executors for a fixed (shards, chunk, rng)."
     )
+    table.add_note(
+        f"backend rows time the fastest of {_BACKEND_REPEATS} runs with the "
+        "same rng (identical estimates)."
+    )
 
     for backend in backends:
-        stats = run_sharded_collection(
-            oracle,
-            values,
-            num_shards=num_shards,
-            chunk_size=chunk_size,
-            workers=workers,
-            backend=backend,
-            rng=seed + 1,
+        stats = min(
+            (
+                run_sharded_collection(
+                    oracle,
+                    values,
+                    num_shards=num_shards,
+                    chunk_size=chunk_size,
+                    workers=workers,
+                    backend=backend,
+                    rng=seed + 1,
+                )
+                for _ in range(_BACKEND_REPEATS)
+            ),
+            key=lambda s: s.wall_seconds,
         )
         err = float(np.mean(np.abs(stats.estimated_counts - counts)))
         table.add_row(

@@ -8,9 +8,9 @@ materializing reference paths, over the three aggregator families that
 carry the systems stacks:
 
 * **OLH/BLH support counting** — the fused hash→compare→accumulate
-  kernel vs the ``hash_cross`` + ``==`` + ``.sum`` reference, over an
-  (n, d, g) sweep that includes the E14-equivalent configuration
-  (d=64, ε=2 → g=8).
+  kernel vs the ``_reference_hash_cross`` + ``==`` + ``.sum``
+  reference, over an (n, d, g) sweep that includes the E14-equivalent
+  configuration (d=64, ε=2 → g=8).
 * **CMS candidate decode** — the tiled sketch read vs the whole-list
   reference (``k`` hashes per candidate + bucket gather).
 * **RAPPOR Bloom design matrix** — chunked ``encode_batch`` vs the

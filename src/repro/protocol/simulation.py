@@ -100,13 +100,6 @@ class ShardStats:
     which inflates with concurrent shard threads time-slicing shared
     cores and also covers non-kernel accumulator work), these stay flat
     in the shard count — they measure CPU the decode kernels consumed.
-
-    ``kernel_worker_tiles`` maps kernel-pool worker slot → tiles that
-    worker processed for this shard's decodes (slot ``-1`` is inline
-    execution on the shard thread itself).  Dispatch is core-affine:
-    each deterministic report span sticks to one worker, so the
-    histogram concentrates.  Stored as a sorted tuple of pairs so the
-    dataclass stays hashable/frozen.
     """
 
     shard_index: int
@@ -117,7 +110,6 @@ class ShardStats:
     bytes_per_report: float
     decode_hash_seconds: float = 0.0
     decode_accumulate_seconds: float = 0.0
-    kernel_worker_tiles: tuple[tuple[int, int], ...] = ()
 
     @property
     def total_bytes(self) -> float:
@@ -165,15 +157,6 @@ class ShardedCollectionStats:
     def decode_accumulate_seconds(self) -> float:
         """Summed decode-kernel compare/count compute across shards."""
         return sum(s.decode_accumulate_seconds for s in self.shards)
-
-    @property
-    def kernel_worker_tiles(self) -> tuple[tuple[int, int], ...]:
-        """Per-worker tile counts merged across shards (sorted by slot)."""
-        merged: dict[int, int] = {}
-        for shard in self.shards:
-            for slot, tiles in shard.kernel_worker_tiles:
-                merged[slot] = merged.get(slot, 0) + tiles
-        return tuple(sorted(merged.items()))
 
     @property
     def total_bytes(self) -> float:
@@ -360,7 +343,6 @@ def _collect_shard(
         bytes_per_report=bytes_per_report,
         decode_hash_seconds=kernel_timing.hash_seconds,
         decode_accumulate_seconds=kernel_timing.accumulate_seconds,
-        kernel_worker_tiles=tuple(sorted(kernel_timing.worker_tiles.items())),
     )
     return acc, stats
 

@@ -1,7 +1,7 @@
 """Shared substrate: validation, RNG, hashing, decode kernels, WHT, Bloom."""
 
 from repro.util.bloom import BloomFilter
-from repro.util.hashing import SeededHashFamily, hash_elementwise, hash_matrix
+from repro.util.hashing import SeededHashFamily, hash_elementwise
 from repro.util.kernels import (
     FusedSupportKernel,
     KernelTiming,
@@ -19,7 +19,6 @@ __all__ = [
     "mersenne_reduce",
     "SeededHashFamily",
     "hash_elementwise",
-    "hash_matrix",
     "derive_seed",
     "ensure_generator",
     "per_user_seeds",

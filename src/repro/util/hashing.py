@@ -22,16 +22,16 @@ single 64-bit seed, so "a hash function" is just an integer that fits in
 a report.
 
 No reduction divides element by element: ``mod p`` is the branch-free
-Mersenne shift-add fold and ``mod g`` the Granlund–Montgomery
-multiply-shift magic (:mod:`repro.util.kernels`) — or, on the client
-path (``params_from_seeds``, ``hash_elementwise``), ``x − ⌊x / m⌋·m``
-with NumPy's vectorized ``floor_divide`` by a scalar.  The client path
-runs its ufuncs in place over the ``(a, b)`` arrays and one scratch
-array, and clients whose batch covers the domain gather premixed values
-from a cached table.  The arithmetic is exact, so every function here is
-bit-identical to the ``_reference_*`` twins that keep the original
-two-hardware-``%`` implementations — the property suite pins that
-equivalence over edge values and every oracle.
+Mersenne shift-add fold (:func:`repro.util.kernels.mersenne_reduce`)
+and every other ``mod m`` is ``x − ⌊x / m⌋·m`` with NumPy's vectorized
+``floor_divide`` by a scalar (:func:`_mod_in_place`).  The client path
+(``params_from_seeds``, ``hash_elementwise``) runs its ufuncs in place
+over the ``(a, b)`` arrays and one scratch array, and clients whose
+batch covers the domain gather premixed values from a cached table.
+The arithmetic is exact, so every function here is bit-identical to
+the ``_reference_*`` twins that keep the original two-hardware-``%``
+implementations — the property suite pins that equivalence over edge
+values and every oracle.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ import functools
 
 import numpy as np
 
-from repro.util.kernels import MERSENNE_P, apply_mod, mersenne_reduce, mod_magic
+from repro.util.kernels import MERSENNE_P, mersenne_reduce
 from repro.util.validation import check_positive_int
 
 __all__ = [
     "MERSENNE_P",
     "params_from_seeds",
     "hash_elementwise",
-    "hash_cross",
-    "hash_matrix",
     "SeededHashFamily",
 ]
 
@@ -83,6 +81,20 @@ def _splitmix(
         if mix is not None:
             np.multiply(out, mix, out=out)
     return out
+
+
+def _mod_in_place(x: np.ndarray, m: np.uint64, scratch: np.ndarray) -> np.ndarray:
+    """``x mod m`` for uint64 ``x``, written over ``x`` as ``x − ⌊x / m⌋·m``.
+
+    NumPy's uint64 ``%`` by a scalar divides element by element, while
+    ``floor_divide`` by a scalar is vectorized.  Exact for every ``x``
+    and every ``m ≥ 1``.  ``scratch`` is a uint64 array the shape of
+    ``x`` that does not alias it.
+    """
+    np.floor_divide(x, m, out=scratch)
+    np.multiply(scratch, m, out=scratch)
+    np.subtract(x, scratch, out=x)
+    return x
 
 
 def _premix(values: np.ndarray) -> np.ndarray:
@@ -122,10 +134,7 @@ def params_from_seeds(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``a`` lands in ``[1, p)`` and ``b`` in ``[0, p)``.  Deterministic:
     the same seed always yields the same hash function.  Runs in place
-    over ``a``, ``b`` and one scratch array.  ``m mod (p − 1)`` is
-    computed as ``m − ⌊m / (p − 1)⌋·(p − 1)``: NumPy's uint64 ``%`` by a
-    scalar divides element by element, while ``floor_divide`` by a
-    scalar is vectorized.
+    over ``a``, ``b`` and one scratch array.
     """
     s = np.asarray(seeds, dtype=np.uint64)
     a = np.empty(s.shape, dtype=np.uint64)
@@ -134,9 +143,7 @@ def params_from_seeds(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _splitmix(s, out=a, scratch=scratch)
     _splitmix(a, out=b, scratch=scratch)
     mersenne_reduce(b, out=b, scratch=scratch)
-    np.floor_divide(a, _P_MINUS_1, out=scratch)
-    np.multiply(scratch, _P_MINUS_1, out=scratch)
-    np.subtract(a, scratch, out=a)
+    _mod_in_place(a, _P_MINUS_1, scratch)
     np.add(a, _ONE, out=a)
     return a, b
 
@@ -147,15 +154,14 @@ def _hash_premixed(seeds: np.ndarray, x: np.ndarray, g: int) -> np.ndarray:
     Evaluated in place over the ``(a, b)`` arrays.  Since
     ``a·x + b ≤ p(p − 1) < 2⁶²``, one Mersenne fold lands in
     ``[0, 2p − 2]`` and the wrapping ``min(f, f − p)`` of the fused
-    kernel gives the canonical ``h mod p``; ``mod g`` goes through a
-    vectorized ``floor_divide`` as in :func:`params_from_seeds`.
+    kernel gives the canonical ``h mod p``; ``mod g`` is
+    :func:`_mod_in_place`.
     """
     a, b = params_from_seeds(seeds)
     if x.shape != a.shape:
         raise ValueError(
             f"seeds and values must align, got {a.shape} vs {x.shape}"
         )
-    g64 = np.uint64(g)
     np.multiply(a, x, out=a)
     np.add(a, b, out=a)
     np.bitwise_and(a, MERSENNE_P, out=b)
@@ -163,10 +169,7 @@ def _hash_premixed(seeds: np.ndarray, x: np.ndarray, g: int) -> np.ndarray:
     np.add(a, b, out=a)
     np.subtract(a, MERSENNE_P, out=b)
     np.minimum(a, b, out=a)
-    np.floor_divide(a, g64, out=b)
-    np.multiply(b, g64, out=b)
-    np.subtract(a, b, out=a)
-    return a.view(np.int64)
+    return _mod_in_place(a, np.uint64(g), b).view(np.int64)
 
 
 def hash_elementwise(
@@ -196,43 +199,6 @@ def _reference_hash_elementwise(
     return (h % np.uint64(g)).astype(np.int64)
 
 
-def hash_cross(
-    seeds: np.ndarray,
-    values: np.ndarray,
-    range_size: int,
-    *,
-    chunk: int = 1 << 22,
-) -> np.ndarray:
-    """Evaluate every seed's function on every given value.
-
-    Returns an ``(n_seeds, len(values))`` int64 matrix ``H`` with
-    ``H[i, j] = h_{seed_i}(values[j])``.  Work is chunked over seeds to
-    bound peak memory at roughly ``chunk`` uint64 elements.
-
-    Aggregator support counting should prefer the fused kernel path
-    (:meth:`repro.core.local_hashing._LocalHashing.support_counts_for`),
-    which never materializes this matrix; ``hash_cross`` remains for
-    callers that genuinely need every hash value.
-    """
-    g = check_positive_int(range_size, name="range_size")
-    s = np.asarray(seeds, dtype=np.uint64)
-    xs = np.asarray(values, dtype=np.uint64)
-    if xs.ndim != 1:
-        raise ValueError(f"values must be 1-D, got shape {xs.shape}")
-    xs = _premix(xs)
-    n, d = s.shape[0], xs.shape[0]
-    a, b = params_from_seeds(s)
-    magic = mod_magic(g) if g < (1 << 31) else None
-    out = np.empty((n, d), dtype=np.int64)
-    rows_per_chunk = max(1, int(chunk // max(d, 1)))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n)
-        block = a[start:stop, None] * xs[None, :] + b[start:stop, None]
-        mersenne_reduce(block, out=block)
-        out[start:stop] = apply_mod(block, g, magic).astype(np.int64)
-    return out
-
-
 def _reference_hash_cross(
     seeds: np.ndarray,
     values: np.ndarray,
@@ -256,22 +222,6 @@ def _reference_hash_cross(
         block = (a[start:stop, None] * xs[None, :] + b[start:stop, None]) % MERSENNE_P
         out[start:stop] = (block % np.uint64(g)).astype(np.int64)
     return out
-
-
-def hash_matrix(
-    seeds: np.ndarray,
-    domain_size: int,
-    range_size: int,
-    *,
-    chunk: int = 1 << 22,
-) -> np.ndarray:
-    """Evaluate every seed's function on every domain value ``0..d−1``.
-
-    The aggregator-side path for local-hashing protocols over small
-    domains; for candidate-restricted decoding use :func:`hash_cross`.
-    """
-    d = check_positive_int(domain_size, name="domain_size")
-    return hash_cross(seeds, np.arange(d, dtype=np.uint64), range_size, chunk=chunk)
 
 
 class SeededHashFamily:
@@ -300,14 +250,12 @@ class SeededHashFamily:
         )
         seeds = _splitmix(_splitmix(base) ^ _GOLDEN)
         self._a, self._b = params_from_seeds(seeds)
-        self._magic = (
-            mod_magic(self.range_size) if self.range_size < (1 << 31) else None
-        )
 
     def _reduce_mod_range(self, h: np.ndarray) -> np.ndarray:
-        """``(h mod p) mod m`` for the affine image ``h``, division-free."""
-        mersenne_reduce(h, out=h)
-        return apply_mod(h, self.range_size, self._magic).astype(np.int64)
+        """``(h mod p) mod m`` for the affine image ``h``, in place over ``h``."""
+        scratch = np.empty_like(h)
+        mersenne_reduce(h, out=h, scratch=scratch)
+        return _mod_in_place(h, np.uint64(self.range_size), scratch).view(np.int64)
 
     def apply(self, index: int, values: np.ndarray) -> np.ndarray:
         """Hash ``values`` with function ``index``; int64 in [0, m)."""

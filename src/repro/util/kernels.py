@@ -1,9 +1,9 @@
 """Fused decode kernels: the aggregator-side hot path, tiled and branch-free.
 
 Every E14–E17 profile says the same thing: privatization is cheap and
-*decoding* is the bottleneck.  The naive aggregator path for local
-hashing — ``hash_cross`` + ``==`` + ``.sum`` — spends its time in two
-places the hardware hates:
+*decoding* is the bottleneck.  The reference aggregator path for local
+hashing — ``_reference_hash_cross`` + ``==`` + ``.sum`` — spends its
+time in two places the hardware hates:
 
 1. **Two uint64 divisions per cell.**  The affine hash
    ``((a·x + b) mod p) mod g`` over the Mersenne prime ``p = 2³¹ − 1``
@@ -22,10 +22,6 @@ This module replaces both:
   Mersenne prime (``2³¹ ≡ 1 (mod p)`` makes ``x mod p`` two fold steps
   plus one conditional subtract; no division).  Client-side hashing
   (``hash_elementwise``, ``SeededHashFamily``) uses it.
-* :func:`mod_magic` / :func:`apply_mod` — exact division-free ``mod g``
-  for 31-bit dividends via the Granlund–Montgomery multiply-shift magic
-  number (the same trick compilers emit for constant divisors), for the
-  same client-side callers.
 * :class:`FusedSupportKernel` — the fused hash→compare→accumulate
   support-count kernel.  It never computes ``h mod g``.  For a candidate
   ``x`` and a report ``(a, b, y)``, with ``a, b, x < p`` and ``y < g``:
@@ -94,15 +90,9 @@ caps the entry count; ``0`` disables caching entirely).
 
 Scheduling
 ----------
-Tile tasks fan out across a process-wide pool of daemon workers.  The
-pool is *core-affine*: report spans are deterministic (``linspace``
-bounds), and span ``k`` is always dispatched to worker ``k``, so
-repeated decodes of the same population hit the same worker — and thus
-the same warm core caches.  Per-worker tile counts are reported through
-:class:`KernelTiming` so ``ShardStats`` can surface the placement.  A
-forked child (the sharded pipeline's process backend) inherits the pool
-object but none of its threads, so the child forgets it at fork and
-starts its own on first use.
+Tile tasks fan out across one process-wide ``ThreadPoolExecutor``.  A
+forked child inherits the pool object but none of its threads, so the
+child forgets it at fork and starts its own on first use.
 
 Timing
 ------
@@ -122,11 +112,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -138,8 +127,6 @@ from repro.util.wht import pack_bit_planes, pack_sign_mask
 __all__ = [
     "MERSENNE_P",
     "mersenne_reduce",
-    "mod_magic",
-    "apply_mod",
     "FusedSupportKernel",
     "HadamardCandidatePlan",
     "hadamard_support_counts",
@@ -157,7 +144,6 @@ __all__ = [
 MERSENNE_P = np.uint64(2**31 - 1)
 
 _U31 = np.uint64(31)
-_ZERO = np.uint64(0)
 
 # ---------------------------------------------------------------------------
 # branch-free modular arithmetic
@@ -199,57 +185,6 @@ def mersenne_reduce(
     return out
 
 
-#: Largest divisor/dividend bound for the multiply-shift magic: the
-#: Granlund–Montgomery proof below needs dividends < 2³¹ (which the
-#: Mersenne reduction guarantees) and the multiplier to fit so that
-#: ``x·m < 2⁶³`` (no uint64 overflow).
-_MAGIC_MAX = 1 << 31
-
-
-def mod_magic(divisor: int) -> tuple[np.uint64, np.uint64]:
-    """Multiply-shift magic ``(m, s)`` with ``x // d == (x·m) >> s``.
-
-    Exact for every dividend ``x < 2³¹`` (Granlund–Montgomery: with
-    ``l = ⌈log₂ d⌉`` and ``m = ⌊2^(31+l)/d⌋ + 1``, the error term
-    ``m·d − 2^(31+l)`` lies in ``(0, d] ⊆ (0, 2^l]``, which is the exact
-    condition of their round-up theorem).  ``x·m ≤ (2³¹−1)·(2³²+1) < 2⁶³``
-    so the uint64 product never overflows.
-    """
-    d = int(divisor)
-    if not 1 <= d < _MAGIC_MAX:
-        raise ValueError(f"divisor must be in [1, 2^31), got {divisor}")
-    l = max(1, (d - 1).bit_length())
-    return np.uint64((1 << (31 + l)) // d + 1), np.uint64(31 + l)
-
-
-def apply_mod(
-    x: np.ndarray, divisor: int, magic: tuple[np.uint64, np.uint64] | None = None
-) -> np.ndarray:
-    """``x mod divisor`` for uint64 ``x < 2³¹`` via the multiply-shift magic.
-
-    Falls back to hardware ``%`` when the divisor is out of magic range.
-    Dividends at or above 2³¹ are **rejected**: the Granlund–Montgomery
-    round-up proof only covers 31-bit dividends, and beyond it the
-    multiply-shift quietly returns wrong residues.  Every internal caller
-    reduces modulo the Mersenne prime first (so dividends are < p < 2³¹
-    by construction); the guard is for everyone else.
-
-    Returns a fresh array.
-    """
-    x = np.asarray(x, dtype=np.uint64)
-    d = int(divisor)
-    if not 1 <= d < _MAGIC_MAX:
-        return x % np.uint64(d)
-    if x.size and int(x.max()) >= _MAGIC_MAX:
-        raise ValueError(
-            "apply_mod dividends must be < 2^31 for the multiply-shift "
-            "magic (reduce mod p first); use hardware % for wider values"
-        )
-    m, s = magic if magic is not None else mod_magic(d)
-    q = (x * m) >> s
-    return x - q * np.uint64(d)
-
-
 # ---------------------------------------------------------------------------
 # timing scopes
 # ---------------------------------------------------------------------------
@@ -270,35 +205,18 @@ class KernelTiming:
     ``accumulate_seconds`` covers compare + count (or gather + sum).
     Both sum the per-thread CPU clock across tile tasks: schedule- and
     contention-independent, unlike wall time around the kernel call.
-
-    ``worker_tiles`` maps pool-worker slot → number of tiles that worker
-    processed for this scope (slot ``-1`` is inline execution on the
-    calling thread).  Core-affine dispatch pins each span to one worker,
-    so the histogram concentrates.
     """
 
     hash_seconds: float = 0.0
     accumulate_seconds: float = 0.0
-    worker_tiles: dict[int, int] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def add(
-        self,
-        hash_seconds: float,
-        accumulate_seconds: float,
-        *,
-        worker: int | None = None,
-        tiles: int = 0,
-    ) -> None:
+    def add(self, hash_seconds: float, accumulate_seconds: float) -> None:
         with self._lock:
             self.hash_seconds += hash_seconds
             self.accumulate_seconds += accumulate_seconds
-            if worker is not None and tiles:
-                self.worker_tiles[worker] = (
-                    self.worker_tiles.get(worker, 0) + tiles
-                )
 
 
 _scope_local = threading.local()
@@ -442,66 +360,11 @@ kernel_plan_cache = KernelPlanCache()
 
 
 # ---------------------------------------------------------------------------
-# shared tile pool (core-affine)
+# shared tile pool
 # ---------------------------------------------------------------------------
 
-_worker_slot = threading.local()
-
-
-def _current_worker_slot() -> int:
-    """Pool-worker slot of the calling thread (``-1`` = not a worker)."""
-    return getattr(_worker_slot, "idx", -1)
-
-
-class _KernelPool:
-    """Daemon worker threads with one task queue per worker.
-
-    Unlike ``ThreadPoolExecutor``'s single shared queue, per-worker
-    queues let the dispatcher *choose* which worker runs a task — the
-    mechanism behind core-affine span scheduling.  Workers never submit
-    work themselves, so queue order alone can't deadlock.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._queues = [queue.SimpleQueue() for _ in range(size)]
-        for idx in range(size):
-            thread = threading.Thread(
-                target=self._worker,
-                args=(idx,),
-                name=f"repro-kernel-{idx}",
-                daemon=True,
-            )
-            thread.start()
-
-    def _worker(self, idx: int) -> None:
-        _worker_slot.idx = idx
-        q = self._queues[idx]
-        while True:
-            item = q.get()
-            if item is None:
-                return
-            future, fn = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(fn())
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                future.set_exception(exc)
-
-    def submit(self, slot: int, fn) -> Future:
-        future: Future = Future()
-        self._queues[slot % self.size].put((future, fn))
-        return future
-
-    def shutdown(self) -> None:
-        """Stop workers after they drain already-queued tasks."""
-        for q in self._queues:
-            q.put(None)
-
-
 _pool_lock = threading.Lock()
-_pool: _KernelPool | None = None
+_pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 
 
@@ -552,26 +415,20 @@ def _submit_to_shared_pool(threads: int, calls) -> list:
     the sharded pipeline's own thread backend is already fanning shards
     out: total in-flight tile tasks are bounded by the pool size.
 
-    Dispatch is core-affine: ``calls[k]`` goes to worker ``k mod
-    size``.  Report spans are deterministic (``linspace`` bounds over
-    the same population), so span ``k`` of every decode of that
-    population lands on the same worker and reuses its warm core caches
-    — and its thread-local scratch, already sized for the span.
-
     Submission happens *inside* the pool lock: when a caller asks for
     more workers than the current pool has, the pool is replaced under
-    the same lock — already-queued tasks still run to completion (each
-    worker drains its queue before exiting) and no caller can race a
-    submit against the swap.
+    the same lock — already-queued tasks still run to completion
+    (``shutdown(wait=False)`` cancels nothing) and no caller can race a
+    submit against the swap.  Futures come back in ``calls`` order.
     """
     global _pool, _pool_size
     with _pool_lock:
         if _pool is None or _pool_size < threads:
             if _pool is not None:
-                _pool.shutdown()
-            _pool = _KernelPool(threads)
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="repro-kernel")
             _pool_size = threads
-        return [_pool.submit(slot, fn) for slot, fn in enumerate(calls)]
+        return [_pool.submit(fn) for fn in calls]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +494,7 @@ class FusedSupportKernel:
     per-thread scratch.  For value ``v`` and
     report ``(s, y)`` the kernel counts ``h_s(v) == y`` matches — exactly
     the quantity ``_LocalHashing._reference_support_counts_for`` extracts
-    from the materialized ``hash_cross`` matrix, bit for bit.
+    from the materialized ``_reference_hash_cross`` matrix, bit for bit.
 
     Per cell, with ``a, b, x < p = 2³¹ − 1`` and ``y < g ≤ p``:
 
@@ -827,10 +684,8 @@ class FusedSupportKernel:
         most ``_MAX_TILE_REPORTS`` matches.  Without ``starts`` (one
         segment) no tile looks its segments up.  Scratch comes from the
         per-thread pool — repeated small absorbs (streaming panes) reuse
-        the same buffers call after call, and because dispatch is
-        core-affine each worker's buffers are already sized for its
-        sticky span.  The arithmetic and its bounds are in the class
-        docstring.
+        the same buffers call after call.  The arithmetic and its bounds
+        are in the class docstring.
         """
         x = self._x
         d = x.shape[0]
@@ -854,7 +709,6 @@ class FusedSupportKernel:
             last_seg = (np.searchsorted(starts, tile_hi - 1, side="right") - 1).tolist()
         hash_s = 0.0
         acc_s = 0.0
-        tiles = 0
         for t, r0 in enumerate(range(lo, hi, tile_r)):
             r1 = min(r0 + tile_r, hi)
             w = r1 - r0
@@ -899,11 +753,8 @@ class FusedSupportKernel:
                 t2 = _thread_clock()
                 hash_s += t1 - t0
                 acc_s += t2 - t1
-                tiles += 1
         if timing is not None:
-            timing.add(
-                hash_s, acc_s, worker=_current_worker_slot(), tiles=tiles
-            )
+            timing.add(hash_s, acc_s)
         return counts
 
 
@@ -1005,20 +856,16 @@ def hadamard_support_counts(
         timing = _active_timing()
         hash_s = 0.0
         acc_s = 0.0
-        tiles = 0
         seg_len = max(1, int(tile_reports))
         for s0 in range(0, n, seg_len):
             s1 = min(s0 + seg_len, n)
-            h_s, a_s, t_s = _bitsliced_segment(
+            h_s, a_s = _bitsliced_segment(
                 idx[s0:s1], signed_bits[s0:s1], plan, dots
             )
             hash_s += h_s
             acc_s += a_s
-            tiles += t_s
         if timing is not None:
-            timing.add(
-                hash_s, acc_s, worker=_current_worker_slot(), tiles=tiles
-            )
+            timing.add(hash_s, acc_s)
     return n / 2.0 + 0.5 * dots.astype(np.float64)
 
 
@@ -1027,10 +874,10 @@ def _bitsliced_segment(
     signed_bits: np.ndarray,
     plan: HadamardCandidatePlan,
     dots: np.ndarray,
-) -> tuple[float, float, int]:
+) -> tuple[float, float]:
     """Accumulate one report segment's signed dots into ``dots``.
 
-    Returns (hash seconds, accumulate seconds, tile count).  The *hash*
+    Returns (hash seconds, accumulate seconds).  The *hash*
     stage is the transform side — plane packing and the sign mask; the
     *accumulate* stage is the XOR/popcount contraction.
     """
@@ -1048,7 +895,7 @@ def _bitsliced_segment(
     if not used:
         # Every active parity is even: H contributes +1 throughout.
         dots += sum_b
-        return _thread_clock() - t0, 0.0, 1
+        return _thread_clock() - t0, 0.0
     pos = pack_sign_mask(signed_bits > 0)
     planes = pack_bit_planes(idx, [plan.bit_positions[k] for k in used])
     t1 = _thread_clock()
@@ -1060,7 +907,6 @@ def _bitsliced_segment(
     counted = _scratch("counted", np.uint64, tile_c * words).reshape(
         tile_c, words
     )
-    tiles = 0
     for c0 in range(0, d, tile_c):
         c1 = min(c0 + tile_c, d)
         par = parity[: c1 - c0]
@@ -1080,8 +926,7 @@ def _bitsliced_segment(
         pc_pos = par.sum(axis=1, dtype=np.int64)
         # Σ b_i·(1 − 2·parity_i) over the segment, per candidate.
         dots[c0:c1] += sum_b - 4 * pc_pos + 2 * pc_all
-        tiles += 1
-    return t1 - t0, _thread_clock() - t1, tiles
+    return t1 - t0, _thread_clock() - t1
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 from repro.util.hashing import (
     MERSENNE_P,
     SeededHashFamily,
-    hash_cross,
+    _mod_in_place,
+    _reference_hash_cross,
     hash_elementwise,
-    hash_matrix,
     params_from_seeds,
 )
+
+P = int(MERSENNE_P)
 
 
 class TestParamsFromSeeds:
@@ -42,7 +44,7 @@ class TestHashElementwise:
         seeds = np.arange(50, dtype=np.uint64) + 1000
         values = (np.arange(50, dtype=np.int64) * 13) % 64
         elementwise = hash_elementwise(seeds, values, 8)
-        matrix = hash_matrix(seeds, 64, 8)
+        matrix = _reference_hash_cross(seeds, np.arange(64, dtype=np.uint64), 8)
         expected = matrix[np.arange(50), values]
         assert np.array_equal(elementwise, expected)
 
@@ -60,8 +62,10 @@ class TestHashElementwise:
 
 
 class TestHashCross:
+    """The materializing reference cross evaluation the kernels match."""
+
     def test_shape(self):
-        out = hash_cross(
+        out = _reference_hash_cross(
             np.arange(10, dtype=np.uint64), np.arange(7, dtype=np.int64), 4
         )
         assert out.shape == (10, 7)
@@ -69,15 +73,37 @@ class TestHashCross:
     def test_chunking_invariant(self):
         seeds = np.arange(100, dtype=np.uint64)
         values = np.arange(33, dtype=np.int64)
-        big = hash_cross(seeds, values, 8, chunk=1 << 22)
-        tiny = hash_cross(seeds, values, 8, chunk=64)
+        big = _reference_hash_cross(seeds, values, 8, chunk=1 << 22)
+        tiny = _reference_hash_cross(seeds, values, 8, chunk=64)
         assert np.array_equal(big, tiny)
 
     def test_rejects_2d_values(self):
         with pytest.raises(ValueError, match="1-D"):
-            hash_cross(
+            _reference_hash_cross(
                 np.arange(3, dtype=np.uint64), np.zeros((2, 2), dtype=np.int64), 4
             )
+
+
+class TestModInPlace:
+    @pytest.mark.parametrize(
+        "m",
+        [1, 2, 3, 4, 5, 7, 8, 11, 64, 1023, 1024, 2**30, 2**31 - 1,
+         2**31, 2**31 + 11, 2**32 + 1, 2**63, 2**64 - 1],
+    )
+    def test_matches_hardware_mod(self, m):
+        # Every uint64 dividend, not just the residues below p that the
+        # hash paths feed it.
+        edges = [0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, P - 1, P, 2**31,
+                 2**63, 2**64 - 1, (2**64 - 1) // m * m]
+        rng = np.random.default_rng(m % 2**32)
+        x = np.concatenate([
+            np.array([v for v in edges if v < 2**64], dtype=np.uint64),
+            rng.integers(0, 2**64, size=5_000, dtype=np.uint64),
+        ])
+        expected = x % np.uint64(m)
+        result = _mod_in_place(x, np.uint64(m), np.empty_like(x))
+        assert result is x
+        assert np.array_equal(x, expected)
 
 
 class TestHashUniformity:

@@ -1,16 +1,19 @@
 """Unit tests for the fused decode-kernel layer (repro.util.kernels)."""
 
 import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.util import kernels
 from repro.util.kernels import (
     MERSENNE_P,
     FusedSupportKernel,
     HadamardCandidatePlan,
     KernelPlanCache,
-    apply_mod,
     candidate_digest,
     column_support_counts,
     hadamard_support_counts,
@@ -18,7 +21,6 @@ from repro.util.kernels import (
     kernel_thread_count,
     kernel_timing_scope,
     mersenne_reduce,
-    mod_magic,
     plan_cache_capacity,
 )
 
@@ -79,47 +81,6 @@ class TestMersenneReduce:
 
     def test_empty(self):
         assert mersenne_reduce(np.array([], dtype=np.uint64)).size == 0
-
-
-class TestModMagic:
-    @pytest.mark.parametrize(
-        "g", [1, 2, 3, 4, 5, 7, 8, 11, 64, 1023, 1024, 2**30, 2**31 - 1]
-    )
-    def test_matches_hardware_mod(self, g):
-        # Dividends stay below 2³¹: that is the magic's proven range and
-        # apply_mod rejects anything wider (see the boundary tests).
-        edges = np.array(
-            [v for v in (0, 1, g - 1, g, g + 1, 2 * g, P - 1, P // 2) if v < 2**31],
-            dtype=np.uint64,
-        )
-        rng = np.random.default_rng(g)
-        x = np.concatenate(
-            [edges, rng.integers(0, P, size=5_000).astype(np.uint64)]
-        )
-        assert np.array_equal(apply_mod(x, g), x % np.uint64(g))
-
-    def test_apply_mod_dividend_boundary(self):
-        # 2³¹ − 1 is the largest proven dividend: exact.
-        top = np.array([0, 1, 2**31 - 2, 2**31 - 1], dtype=np.uint64)
-        for g in (3, 7, 1024, 2**31 - 1):
-            assert np.array_equal(apply_mod(top, g), top % np.uint64(g))
-        # 2³¹ is one past the Granlund–Montgomery proof: rejected, not
-        # silently wrong.
-        with pytest.raises(ValueError):
-            apply_mod(np.array([2**31], dtype=np.uint64), 7)
-        with pytest.raises(ValueError):
-            apply_mod(np.array([5, 2**40], dtype=np.uint64), 1024)
-
-    def test_rejects_out_of_range_divisors(self):
-        with pytest.raises(ValueError):
-            mod_magic(0)
-        with pytest.raises(ValueError):
-            mod_magic(2**31)
-
-    def test_apply_mod_falls_back_beyond_magic_range(self):
-        x = np.array([0, 5, 2**31 - 1], dtype=np.uint64)
-        g = 2**31  # out of magic range: hardware % fallback
-        assert np.array_equal(apply_mod(x, g), x % np.uint64(g))
 
 
 def _brute_support_counts(a, b, y, premixed, g):
@@ -432,8 +393,8 @@ class TestKernelPlanCache:
                         assert not np.shares_memory(val, vars(other).get(name))
 
 
-class TestAffinityScheduling:
-    def test_worker_tiles_recorded_and_result_identical(self):
+class TestTilePool:
+    def test_fan_out_runs_on_pool_threads_and_matches_inline(self, monkeypatch):
         rng = np.random.default_rng(13)
         n = 40_000
         a = rng.integers(1, P, size=n).astype(np.uint64)
@@ -441,42 +402,91 @@ class TestAffinityScheduling:
         y = rng.integers(0, 8, size=n).astype(np.uint64)
         premixed = rng.integers(0, P, size=64).astype(np.uint64)
         serial = FusedSupportKernel(premixed, 8, threads=1).support_counts(a, b, y)
-        kernel = FusedSupportKernel(premixed, 8, threads=3)
-        with kernel_timing_scope() as timing:
-            fanned = kernel.support_counts(a, b, y)
+        span_threads = []
+        count_span = FusedSupportKernel._count_span
+
+        def recording_count_span(self, *args):
+            span_threads.append(threading.current_thread().name)
+            return count_span(self, *args)
+
+        monkeypatch.setattr(FusedSupportKernel, "_count_span", recording_count_span)
+        fanned = FusedSupportKernel(premixed, 8, threads=3).support_counts(a, b, y)
         assert np.array_equal(serial, fanned)
-        assert sum(timing.worker_tiles.values()) > 0
-        # fanned-out spans must have run on pool workers, not inline
-        assert any(slot >= 0 for slot in timing.worker_tiles)
+        # 40,000 x 64 cells reach the pool: the spans fan out, each run
+        # on a pool thread rather than inline on the caller's.
+        assert len(span_threads) > 1
+        assert all(name.startswith("repro-kernel") for name in span_threads)
+        assert isinstance(kernels._pool, ThreadPoolExecutor)
 
-    def test_inline_runs_report_slot_minus_one(self):
-        rng = np.random.default_rng(14)
-        n = 3_000
-        a = rng.integers(1, P, size=n).astype(np.uint64)
-        b = rng.integers(0, P, size=n).astype(np.uint64)
-        y = rng.integers(0, 4, size=n).astype(np.uint64)
-        kernel = FusedSupportKernel(
-            rng.integers(0, P, size=16).astype(np.uint64), 4, threads=1
-        )
-        with kernel_timing_scope() as timing:
-            kernel.support_counts(a, b, y)
-        assert set(timing.worker_tiles) == {-1}
-
-    def test_sticky_spans_reuse_workers(self):
-        """Repeated decodes land spans on the same workers."""
-        rng = np.random.default_rng(15)
-        n = 50_000
+    def test_replacing_the_pool_keeps_its_queued_tiles(self, monkeypatch):
+        """A caller asking for more threads replaces the pool while another
+        caller's tiles wait in its queue: those tiles still run."""
+        rng = np.random.default_rng(17)
+        n = 40_000
         a = rng.integers(1, P, size=n).astype(np.uint64)
         b = rng.integers(0, P, size=n).astype(np.uint64)
         y = rng.integers(0, 8, size=n).astype(np.uint64)
-        kernel = FusedSupportKernel(
-            rng.integers(0, P, size=64).astype(np.uint64), 8, threads=2
-        )
-        with kernel_timing_scope() as first:
-            kernel.support_counts(a, b, y)
-        with kernel_timing_scope() as second:
-            kernel.support_counts(a, b, y)
-        assert set(first.worker_tiles) == set(second.worker_tiles)
+        premixed = rng.integers(0, P, size=64).astype(np.uint64)
+        expected = FusedSupportKernel(premixed, 8, threads=1).support_counts(a, b, y)
+        release = threading.Event()
+        started = []
+        submitted = []
+        count_span = FusedSupportKernel._count_span
+        submit = kernels._submit_to_shared_pool
+
+        def held_count_span(self, *args):
+            started.append(None)
+            release.wait(timeout=60)
+            return count_span(self, *args)
+
+        def recorded_submit(threads, calls):
+            futures = submit(threads, calls)
+            submitted.append(threads)
+            return futures
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 60
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert condition()
+
+        results = {}
+
+        def caller(name, threads):
+            kernel = FusedSupportKernel(premixed, 8, threads=threads)
+            results[name] = kernel.support_counts(a, b, y)
+
+        monkeypatch.setattr(FusedSupportKernel, "_count_span", held_count_span)
+        monkeypatch.setattr(kernels, "_submit_to_shared_pool", recorded_submit)
+        saved = kernels._pool, kernels._pool_size
+        kernels._pool, kernels._pool_size = None, 0
+        callers = [
+            threading.Thread(target=caller, args=(name, threads))
+            for name, threads in (("running", 2), ("queued", 2), ("bigger", 3))
+        ]
+        try:
+            # Two spans hold both threads of a fresh two-thread pool, the
+            # next two wait in its queue, and a three-thread caller then
+            # replaces the pool.
+            callers[0].start()
+            wait_for(lambda: len(started) == 2)
+            callers[1].start()
+            wait_for(lambda: submitted == [2, 2])
+            callers[2].start()
+            wait_for(lambda: submitted == [2, 2, 3])
+        finally:
+            release.set()
+            for thread in callers:
+                if thread.is_alive():
+                    thread.join(timeout=60)
+            with kernels._pool_lock:
+                if kernels._pool is not None:
+                    kernels._pool.shutdown(wait=False)
+                kernels._pool, kernels._pool_size = saved
+        assert not any(thread.is_alive() for thread in callers)
+        assert sorted(results) == ["bigger", "queued", "running"]
+        for counts in results.values():
+            assert np.array_equal(counts, expected)
 
 
 def test_kernel_thread_count_env_override(monkeypatch):
