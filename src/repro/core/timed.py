@@ -112,8 +112,8 @@ def concat_report_batches(batches: list) -> Any:
     batches concatenate on their first axis, tuple batches concatenate
     element-wise, and report dataclasses are rebuilt with every array
     field concatenated.  All batches must be the same type (they came
-    from the same oracle).  This is what micro-batch coalescing uses to
-    fold several small delivery envelopes into one routing batch.
+    from the same oracle).  The stream driver and the service's ingest
+    daemons use it to fold several envelopes into one routing batch.
     """
     if not batches:
         raise ValueError("need at least one report batch to concatenate")

@@ -30,13 +30,11 @@ night) and measures three things:
    pane plus the retired state, so ``snapshot_ms`` stays flat no matter
    how many reports a session absorbed.
 
-4. **Envelope × geometry matrix** — the PR 9 fast path (vectorized
-   session sweep + ingest micro-batch coalescing) is supposed to make
-   throughput independent of pane geometry *and* delivery envelope
-   size.  The matrix sweep drives sessions and event-tumbling windows
-   through 256/4096/65536-report envelopes with the collector's
-   ``micro_batch`` coalescing buffer on: rows stay within a small
-   factor of each other instead of cratering at envelope=256.
+4. **Envelope × geometry matrix** — the vectorized session sweep, and
+   the driver folding small envelopes together where no output can
+   change, make throughput independent of pane geometry *and* envelope
+   size: sessions and event-tumbling windows through 256/4096/65536-
+   report envelopes stay within a small factor of each other.
 
 Expected shape: window count falls from 4 to 1 as ``gap`` sweeps up;
 ``coalesced`` falls to zero as the bridge-sweep envelope grows; the
@@ -219,10 +217,9 @@ def run(
     for envelope in bridge_chunks:
         spec = WindowSpec.session(bridge_gap, allowed_lateness=24.0)
         t0 = time.perf_counter()
-        # micro_batch coalesces the small envelopes' absorbs; the
-        # per-envelope charge_for precharge still commits session
-        # structure at arrival granularity, so the proto-session and
-        # coalesce counts this sweep measures are untouched.
+        # The driver folds small envelopes together but charges each one
+        # first, and the charge commits session structure at arrival
+        # granularity: coalesce counts equal one fold per envelope's.
         result = stream_collection(
             oracle,
             arrival_values,
@@ -230,7 +227,6 @@ def run(
             timestamps=arrival_times,
             chunk_size=min(int(envelope), n),
             rng=seed + 4,
-            micro_batch=65_536,
         )
         wall = time.perf_counter() - t0
         assert result.late_reports == 0
@@ -250,8 +246,7 @@ def run(
     assert bridge_coalesced[0] >= bridge_coalesced[-1]
 
     # -- sweep 3: envelope x geometry throughput matrix --------------------
-    # The fast-path claim in one table: with the vectorized sweep and
-    # the micro-batch coalescing buffer, throughput is decided by the
+    # The fast-path claim in one table: throughput is decided by the
     # data volume — not by pane geometry or delivery envelope size.
     matrix_specs = (
         ("sessions", WindowSpec.session(1.0, allowed_lateness=24.0)),
@@ -267,7 +262,6 @@ def run(
                 timestamps=arrival_times,
                 chunk_size=min(int(envelope), n),
                 rng=seed + 6,
-                micro_batch=65_536,
             )
             wall = time.perf_counter() - t0
             assert result.late_reports == 0

@@ -59,6 +59,10 @@ the exact-summation ``SummationAccumulator`` every window estimate —
 SHE included — is **bit-identical** to the one-shot batch estimate over
 that window's reports.
 
+The drivers (:func:`stream_collection`, :func:`stream_reports`) fold
+consecutive arrival slices as one envelope only where no output can
+change, so a driven stream equals one fold per slice, bit for bit.
+
 Privacy accounting is threaded through the same engine: the collector
 charges the mechanism's declared spend
 (:meth:`~repro.core.mechanism.LocalMechanism.privacy_spend`) to a
@@ -672,9 +676,9 @@ class _PaneGeometry:
     the emitted snapshots.  A geometry owns pane *identity* and its open
     panes: classifying timestamps into panes, routing sub-envelopes into
     the open pane accumulators it holds, deciding what the watermark has
-    sealed and what window a sealed pane emits.  Fixed (tumbling/sliding)
-    and data-driven (session) geometries share the one collector through
-    this interface.
+    sealed (and whether moving it would change anything) and what window
+    a sealed pane emits.  Fixed (tumbling/sliding) and data-driven
+    (session) geometries share the one collector through this interface.
     """
 
     #: Open panes bridged into a neighbour by late data (sessions only).
@@ -695,19 +699,13 @@ class _PaneGeometry:
         """Seal (in order) every pane the watermark passed; emit windows."""
         raise NotImplementedError
 
-    def would_seal(
-        self, watermark: float, pending_min: float | None = None
-    ) -> bool:
-        """Whether this watermark would seal (emit) at least one pane.
+    def quiet_between(self, before: float, after: float) -> bool:
+        """Whether the watermark can move from ``before`` to ``after`` inertly.
 
-        The micro-batching buffer asks this before deferring an
-        envelope: a flush happens the moment a seal is due, so
-        coalescing never delays a window emission.  ``pending_min`` is
-        the earliest event time sitting *unfolded* in the buffer — a
-        pane that only exists in buffered data must still trigger the
-        flush the moment the watermark passes its end.
+        Inert: no report is judged differently and no pane seals.
+        ``False`` while ``before`` is −∞ (nothing seen yet).
         """
-        return False
+        raise NotImplementedError
 
     def open_accumulators(self) -> list:
         """The open pane accumulators, oldest first (never in the store)."""
@@ -793,21 +791,27 @@ class _FixedPaneGeometry(_PaneGeometry):
         stages["route"] += t1 - t0
         stages["charge"] += t2 - t1
 
-    def would_seal(
-        self, watermark: float, pending_min: float | None = None
-    ) -> bool:
-        if pending_min is not None:
-            pane = int(self._c.spec.pane_index(np.asarray([pending_min]))[0])
-            if self._c.spec.pane_bounds(pane)[1] <= watermark:
-                return True
-        if not self._open and self._sealed_through is None:
+    def quiet_between(self, before: float, after: float) -> bool:
+        """No pane end lies in ``(before, after]``, so no mark changes.
+
+        ``p`` is stepped until ``end(p - 1) <= before < end(p)``, as a
+        bare floor of ``(before - origin) / span`` can miss an end one
+        ulp above ``before``; ends too coarse to bracket ``before`` in a
+        few steps answer ``False``, which only costs a fold.
+        """
+        spec = self._c.spec
+        q = (before - spec.origin) / spec.pane_span
+        if not math.isfinite(q):
             return False
-        frontier = (
-            self._sealed_through + 1
-            if self._sealed_through is not None
-            else min(self._open)
-        )
-        return self._c.spec.pane_bounds(frontier)[1] <= watermark
+        p = math.floor(q)
+        for _ in range(4):
+            if spec.pane_bounds(p)[1] <= before:
+                p += 1
+            elif spec.pane_bounds(p - 1)[1] > before:
+                p -= 1
+            else:
+                return spec.pane_bounds(p)[1] > after
+        return False
 
     def _charge_panes(self, panes: np.ndarray) -> None:
         """Atomically charge the panes some reports land in (all-or-nothing).
@@ -1273,16 +1277,15 @@ class _SessionPaneGeometry(_PaneGeometry):
                 out.append((sess, _EMPTY_POSITIONS, None, None))
         return out
 
-    def would_seal(
-        self, watermark: float, pending_min: float | None = None
-    ) -> bool:
-        if pending_min is not None and pending_min + self._gap <= watermark:
-            # A buffered report's proto-session could already be due.
-            return True
-        return (
-            bool(self._sessions)
-            and self._sessions[0].end + self._gap <= watermark
-        )
+    def quiet_between(self, before: float, after: float) -> bool:
+        """The oldest open session is not due at ``after``.
+
+        Lateness moves only when a session seals, and ``charge_for`` has
+        already opened the session of every charged time.
+        """
+        if before == -math.inf:
+            return False
+        return not self._sessions or self._sessions[0].end + self._gap > after
 
     def seal_past_watermark(self, *, everything: bool = False) -> None:
         while self._sessions:
@@ -1390,7 +1393,6 @@ class EventTimeCollector:
         user_model: str = "same_users",
         composition: str = "basic",
         delta_slack: float = 1e-9,
-        micro_batch: int | None = None,
     ) -> None:
         if user_model not in USER_MODELS:
             raise ValueError(
@@ -1402,8 +1404,6 @@ class EventTimeCollector:
             )
         if not 0.0 < delta_slack < 1.0:
             raise ValueError(f"delta_slack must be in (0, 1), got {delta_slack}")
-        if micro_batch is not None and micro_batch != 0:
-            check_positive_int(micro_batch, name="micro_batch")
         self._oracle = oracle
         self.spec = spec
         self.ledger = ledger if ledger is not None else PrivacyLedger()
@@ -1419,10 +1419,6 @@ class EventTimeCollector:
         # instance is one release stream: the sentinel scopes its memo
         # keys so two streams sharing a ledger each pay their own bill.
         self._stream_key = object()
-        self._micro_batch = int(micro_batch) if micro_batch else 0
-        self._pending: list[TimedReports] = []
-        self._pending_rows = 0
-        self._pending_min = math.inf
         self._max_event_time = -math.inf
         self._late = 0
         self._absorbed = 0
@@ -1511,64 +1507,32 @@ class EventTimeCollector:
 
     @property
     def late_reports(self) -> int:
-        """Reports that arrived after their pane sealed (counted, not absorbed).
-
-        Like every read accessor below, this forces a flush of the
-        ``micro_batch`` coalescing buffer so the answer covers every
-        envelope offered so far.  The flush folds real data: it
-        advances the watermark (possibly sealing panes) and charges the
-        ledger, so on a capped ledger the read can raise
-        :class:`~repro.core.budget.BudgetExceededError` — the buffer is
-        restored, nothing is absorbed, and the read can be retried.
-        """
-        self._flush_pending()
+        """Reports that arrived after their pane sealed (counted, not absorbed)."""
         return self._late
 
     @property
     def total_users(self) -> int:
-        """Reports absorbed since the stream started (late ones excluded).
-
-        Forces a flush of the coalescing buffer — see :attr:`late_reports`.
-        """
-        self._flush_pending()
+        """Reports absorbed since the stream started (late ones excluded)."""
         return self._absorbed
 
     @property
     def pane_count(self) -> int:
-        """Live pane accumulators (open panes + panes held in the store).
-
-        Forces a flush of the coalescing buffer — see :attr:`late_reports`.
-        """
-        self._flush_pending()
+        """Live pane accumulators (open panes + panes held in the store)."""
         return self._store.count + self._geometry.open_count()
 
     @property
     def coalesced_panes(self) -> int:
-        """Open panes merged away by late bridging reports (sessions only).
-
-        Forces a flush of the coalescing buffer — see :attr:`late_reports`.
-        """
-        self._flush_pending()
+        """Open panes merged away by late bridging reports (sessions only)."""
         return self._geometry.merged_panes
 
     @property
     def stage_seconds(self) -> dict[str, float]:
-        """Cumulative CPU seconds per pipeline stage (route/charge/absorb/snapshot).
-
-        Forces a flush of the coalescing buffer — see
-        :attr:`late_reports` — so the route/absorb totals cover the
-        same envelopes as the flushing counters above.
-        """
-        self._flush_pending()
+        """Cumulative CPU seconds per pipeline stage (route/charge/absorb/snapshot)."""
         return dict(self._stage_seconds)
 
     @property
     def snapshots(self) -> list[StreamSnapshot]:
-        """Windows emitted so far (one per sealed pane, in clock order).
-
-        Forces a flush of the coalescing buffer — see :attr:`late_reports`.
-        """
-        self._flush_pending()
+        """Windows emitted so far (one per sealed pane, in clock order)."""
         return list(self._snapshots)
 
     # -- collection ---------------------------------------------------------
@@ -1582,16 +1546,6 @@ class EventTimeCollector:
         their panes, and then the envelope's maximum timestamp advances
         the watermark — sealing every pane it passed and emitting their
         windows.
-
-        With ``micro_batch`` enabled the envelope may instead join the
-        coalescing buffer: small envelopes queue until the buffer
-        reaches the row budget — or until an envelope's timestamps
-        would seal a pane, so window emission is never delayed — and
-        are then folded as *one* routing/absorb batch, amortizing the
-        per-envelope argsort, ledger savepoint and pane bookkeeping.
-        The watermark only advances at flush boundaries, which is
-        strictly more lenient than per-envelope advancement: no report
-        that would have been absorbed unbatched is ever counted late.
         """
         if self._finished:
             raise ValueError("stream already finished")
@@ -1603,53 +1557,12 @@ class EventTimeCollector:
             )
         if len(timed) == 0:
             return self
-        if self._micro_batch:
-            self._pending.append(timed)
-            self._pending_rows += len(timed)
-            self._pending_min = min(
-                self._pending_min, float(timed.timestamps.min())
-            )
-            prospective = self.spec.watermark(
-                max(self._max_event_time, float(timed.timestamps.max()))
-            )
-            if self._pending_rows >= self._micro_batch or (
-                self._geometry.would_seal(
-                    prospective, pending_min=self._pending_min
-                )
-            ):
-                self._flush_pending()
-            return self
         self._geometry.ingest(timed)
         self._max_event_time = max(
             self._max_event_time, float(timed.timestamps.max())
         )
         self._geometry.seal_past_watermark()
         return self
-
-    def _flush_pending(self) -> None:
-        """Fold the coalescing buffer as one batch, then advance the watermark.
-
-        A refused batch (capped ledger) is restored to the buffer —
-        the geometry sweep is atomic, so nothing was absorbed and the
-        caller can retry or finish with every report still accounted.
-        """
-        if not self._pending:
-            return
-        batch = concat_timed_reports(self._pending)
-        self._pending = []
-        self._pending_rows = 0
-        pending_min, self._pending_min = self._pending_min, math.inf
-        try:
-            self._geometry.ingest(batch)
-        except BaseException:
-            self._pending = [batch]
-            self._pending_rows = len(batch)
-            self._pending_min = pending_min
-            raise
-        self._max_event_time = max(
-            self._max_event_time, float(batch.timestamps.max())
-        )
-        self._geometry.seal_past_watermark()
 
     def charge_for(self, timestamps) -> "EventTimeCollector":
         """Charge every window the given event times will land in, atomically.
@@ -1713,7 +1626,6 @@ class EventTimeCollector:
         remaining windows are emitted in clock order.
         """
         if not self._finished:
-            self._flush_pending()
             self._max_event_time = math.inf
             self._geometry.seal_past_watermark(everything=True)
             self._finished = True
@@ -1755,6 +1667,11 @@ def _arrival_slices(spec: WindowSpec, n: int, chunk_size: int):
                 yield a, b
 
 
+#: Rows :func:`_drive_stream` may hold unfolded: the default
+#: ``chunk_size``, so two full slices never join.
+_COALESCE_ROWS = 65_536
+
+
 def _drive_stream(
     oracle, spec, materialize, ts, chunk_size, **collector_kwargs
 ) -> StreamResult:
@@ -1764,12 +1681,26 @@ def _drive_stream(
     ``[a, b)`` and is called with strictly increasing, disjoint slices.
     Pane identities come from the timestamps alone, so each slice's
     panes are charged *before* it is materialized — a capped ledger
-    refuses the window, not the already-randomized reports.
+    refuses the window, not the already-randomized reports.  Slices
+    fold together while :meth:`_PaneGeometry.quiet_between` holds,
+    asked before each slice's charge, so every output equals one fold
+    per slice.
     """
     collector = EventTimeCollector(oracle, spec, **collector_kwargs)
+    quiet = collector._geometry.quiet_between
+    batch, rows, newest = [], 0, -math.inf
     for a, b in _arrival_slices(spec, ts.shape[0], chunk_size):
+        if batch and (
+            rows + (b - a) > _COALESCE_ROWS
+            or not quiet(collector.watermark, spec.watermark(newest))
+        ):
+            collector.absorb(concat_timed_reports(batch))
+            batch, rows = [], 0
         collector.charge_for(ts[a:b])
-        collector.absorb(TimedReports(ts[a:b], materialize(a, b)))
+        batch.append(TimedReports(ts[a:b], materialize(a, b)))
+        rows += b - a
+        newest = max(newest, float(ts[a:b].max()))
+    collector.absorb(concat_timed_reports(batch))
     return collector.finish()
 
 
@@ -1813,13 +1744,13 @@ def stream_collection(
     user_model: str = "same_users",
     composition: str = "basic",
     delta_slack: float = 1e-9,
-    micro_batch: int | None = None,
 ) -> StreamResult:
     """Drive a whole population through a simulated arrival stream.
 
     Users arrive in ``values`` order, privatized in bounded-memory
     chunks of at most ``chunk_size`` — the same memory discipline as
-    the sharded pipeline.  Chunks are wrapped in
+    the sharded pipeline; at most 65,536 reports (one chunk, if larger)
+    wait unfolded, plus their copy while they fold.  Chunks are wrapped in
     :class:`~repro.core.timed.TimedReports` envelopes and routed by an
     :class:`EventTimeCollector`; the stream is flushed at end of input.
 
@@ -1837,10 +1768,7 @@ def stream_collection(
     counted late per the spec's ``allowed_lateness``.
 
     ``ledger``, ``user_model`` and ``composition`` configure the
-    accounting (see the module docstring); ``micro_batch`` sets the
-    collector's ingest coalescing budget in rows — small envelopes
-    queue up to that many reports and fold as one routing batch, with
-    a forced flush whenever a pane seal is due.  Returns a
+    accounting (see the module docstring).  Returns a
     :class:`StreamResult` — one snapshot per closed window plus the
     populated ledger; the final snapshot's cumulative estimates equal
     the one-shot batch estimate over the identical absorbed reports,
@@ -1876,7 +1804,6 @@ def stream_collection(
         user_model=user_model,
         composition=composition,
         delta_slack=delta_slack,
-        micro_batch=micro_batch,
     )
 
 
@@ -1891,7 +1818,6 @@ def stream_reports(
     user_model: str = "same_users",
     composition: str = "basic",
     delta_slack: float = 1e-9,
-    micro_batch: int | None = None,
 ) -> StreamResult:
     """Drive an already-privatized report batch through the window engine.
 
@@ -1927,5 +1853,4 @@ def stream_reports(
         user_model=user_model,
         composition=composition,
         delta_slack=delta_slack,
-        micro_batch=micro_batch,
     )

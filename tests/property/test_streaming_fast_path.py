@@ -1,9 +1,9 @@
-"""Property tests for the streaming fast path (PR 9).
+"""Property tests for the streaming fast path.
 
-The vectorized session sweep and the ingest micro-batch coalescing are
-*pure* performance work: every estimate, extent, coalesce count, late
-count and ledger identity must be reproducible from the slow reference
-implementations they replaced.  Checked here:
+The vectorized session sweep and the stream driver's coalescing of
+arrival slices are *pure* performance work: every estimate, extent,
+coalesce count, late count and ledger identity must be reproducible
+from the slow reference implementations they replaced.  Checked here:
 
 * **vectorized == reference**: the numpy gap-clustering sweep
   (`_SessionPaneGeometry._clusters`) produces bit-identical results to
@@ -12,14 +12,15 @@ implementations they replaced.  Checked here:
   straggler/late accounting and disjoint-users ledger groups — over
   shuffled bursty arrivals, for every registered core oracle and every
   system stack.
-* **micro-batched collector == unbatched**: coalescing absorb calls up
-  to a row budget (flushing when the watermark would seal) leaves fixed
-  geometry — event-time and count-time alike — *fully* bit-identical — same snapshots, same
-  per-snapshot late counts — and leaves session geometry's sealed
-  windows, partition and ledger extents identical (only creation
-  serials and proto-session coalesce counts may shift, exactly as for
-  any other arrival re-chunking).
-* **micro-batched service fold == unbatched**: `ShardFolder.offer_batch`
+* **driver == one fold per slice**: `stream_collection` folds
+  consecutive arrival slices as one envelope only while the watermark
+  they bring cannot change how a report is judged nor seal a pane, so
+  it equals the collector fed one slice at a time — snapshots, serials,
+  late counts, coalesced panes and ledger entries, bitwise — on event,
+  session and count streams with stragglers, at the float boundary of
+  a pane end, and when a capped ledger refuses a window while slices
+  wait unfolded.
+* **coalesced service fold == unbatched**: `ShardFolder.offer_batch`
   folding several delivery envelopes at once yields the same combiner
   result as per-envelope `offer`, with duplicate-delivery dedup
   preserved across coalesced batches.
@@ -28,7 +29,7 @@ implementations they replaced.  Checked here:
 import numpy as np
 import pytest
 
-from repro.core import TimedReports
+from repro.core import BudgetExceededError, PrivacyLedger, TimedReports
 from repro.core.estimation import ORACLE_REGISTRY, make_oracle
 from repro.core.timed import slice_report_batch
 from repro.protocol import (
@@ -36,17 +37,20 @@ from repro.protocol import (
     EventTimeCollector,
     ShardFolder,
     WindowSpec,
+    stream_collection,
 )
+from repro.protocol import streaming
+from repro.protocol.streaming import _arrival_slices
 
+from test_count_windows_golden import _ledger
+from test_event_windows_golden import _stream as _record
 from test_session_windows import _bursty_times
 from test_windowing import _SYSTEM_CASES
 
 
 def _stream(oracle, reports, slicer, ts, arrival, spec, *, chunk, reference,
-            micro_batch=None, **kwargs):
-    collector = EventTimeCollector(
-        oracle, spec, micro_batch=micro_batch, **kwargs
-    )
+            **kwargs):
+    collector = EventTimeCollector(oracle, spec, **kwargs)
     if reference:
         collector._geometry.use_reference_sweep = True
     for start in range(0, arrival.size, chunk):
@@ -145,112 +149,254 @@ def test_vectorized_sweep_matches_reference_with_stragglers(slice_reports):
     _assert_bit_identical(fast, slow)
 
 
-@pytest.mark.parametrize("micro_batch", [16, 64, 100_000])
-def test_micro_batch_collector_bit_identical_fixed_geometry(
-    slice_reports, micro_batch
-):
-    # Fixed panes, arrival skew bounded by allowed_lateness (the
-    # on-time regime): flush-on-would-seal folds the buffer at exactly
-    # the per-envelope sealing points, so micro-batching is *fully*
-    # invisible — snapshots, per-snapshot late counts, pane counts —
-    # even though panes seal mid-stream.  Count-time specs ride the
-    # same engine on the arrival-ordinal clock (in-order ordinals).
-    oracle = make_oracle("OLH", 8, 1.2)
-    n = 400
-    gen = np.random.default_rng(95)
+def _one_fold_per_slice(oracle, values, spec, ts, *, chunk, rng, **kwargs):
+    """`stream_collection`'s steps, with every arrival slice folded alone."""
+    collector = EventTimeCollector(oracle, spec, **kwargs)
+    gen = np.random.default_rng(rng)
+    for a, b in _arrival_slices(spec, ts.shape[0], chunk):
+        collector.charge_for(ts[a:b])
+        reports = oracle.privatize(values[a:b], rng=gen)
+        collector.absorb(TimedReports(ts[a:b], reports))
+    return collector.finish()
+
+
+def _counting_folds(monkeypatch):
+    """Record the rows of every envelope any collector folds from now on."""
+    folds: list[int] = []
+    absorb = EventTimeCollector.absorb
+
+    def counted(self, timed):
+        folds.append(len(timed))
+        return absorb(self, timed)
+
+    monkeypatch.setattr(EventTimeCollector, "absorb", counted)
+    return folds
+
+
+def _stragglers(gen, n):
+    """Event times on [0, 40) in arrival order, a fifth delayed by < 8."""
     ts = np.sort(gen.uniform(0.0, 40.0, n))
-    reports = oracle.privatize(gen.integers(0, 8, n), rng=96)
-    # Arrival is event order jittered by < allowed_lateness: nothing
-    # is ever late, but the watermark still seals panes mid-stream.
-    jittered = np.argsort(ts + gen.uniform(0.0, 1.5, n), kind="stable")
-    ordinals = np.arange(n, dtype=np.float64)
-    cases = [
-        (WindowSpec.event_tumbling(10.0, allowed_lateness=2.0), ts, jittered),
-        (WindowSpec.tumbling(50), ordinals, np.arange(n)),
-        (WindowSpec.sliding(100, 25), ordinals, np.arange(n)),
-        (WindowSpec.sliding(30, 80), ordinals, np.arange(n)),  # gapped
-        (WindowSpec.cumulative(60), ordinals, np.arange(n)),
-    ]
-    for spec, times, arrival in cases:
-
-        def run(mb):
-            return _stream(
-                oracle, reports, slice_reports, times, arrival, spec,
-                chunk=13, reference=False, micro_batch=mb,
-            )
-
-        plain, batched = run(None), run(micro_batch)
-        assert plain[1].late_reports == 0
-        assert len(plain[1]) > 1  # panes really sealed mid-stream
-        _assert_bit_identical(plain, batched)
+    delay = np.where(gen.random(n) < 0.2, gen.uniform(0.0, 8.0, n), 0.0)
+    return ts[np.argsort(ts + delay, kind="stable")]
 
 
-def test_micro_batch_collector_straggler_invariants(slice_reports):
-    # Beyond allowed_lateness, deferring the watermark to flush
-    # boundaries is strictly more lenient: a batched run absorbs at
-    # least every report the unbatched run absorbed (never fewer),
-    # `absorbed + late == n` holds in both, and sealed windows are
-    # never disturbed by the extra absorbed data.
-    oracle = make_oracle("DE", 6, 1.0)
-    n = 300
-    gen = np.random.default_rng(103)
-    ts = gen.uniform(0.0, 40.0, n)  # unsorted: heavy cross-envelope skew
-    reports = oracle.privatize(gen.integers(0, 6, n), rng=104)
-    spec = WindowSpec.event_tumbling(10.0, allowed_lateness=2.0)
-    arrival = gen.permutation(n)
-
-    def run(mb):
-        return _stream(
-            oracle, reports, slice_reports, ts, arrival, spec,
-            chunk=13, reference=False, micro_batch=mb,
-        )[1]
-
-    plain = run(None)
-    batched = run(32)
-    assert plain.late_reports > 0  # the straggler path genuinely ran
-    assert plain.absorbed_reports + plain.late_reports == n
-    assert batched.absorbed_reports + batched.late_reports == n
-    assert batched.late_reports <= plain.late_reports
-    assert {s.window_index for s in plain} == {s.window_index for s in batched}
+def _jittered_arrival(gen, n):
+    """Event times on [0, 40) in arrival order, jittered by < 1.5."""
+    ts = np.sort(gen.uniform(0.0, 40.0, n))
+    return ts[np.argsort(ts + gen.uniform(0.0, 1.5, n), kind="stable")]
 
 
-@pytest.mark.parametrize("micro_batch", [16, 64])
-def test_micro_batch_collector_same_sessions(slice_reports, micro_batch):
-    # Session geometry: coalescing absorbs re-chunks arrival, so only
-    # creation serials / proto-session merge counts may shift — the
-    # sealed windows (extents, users, estimates), the partition, the
-    # late accounting and the ledger's final window extents must not.
-    oracle = make_oracle("HR", 8, 1.2)
-    n = 350
-    ts, gen = _bursty_times(n, gap=2.0, bursts=4, seed=97)
-    reports = oracle.privatize(gen.integers(0, 8, n), rng=98)
-    spec = WindowSpec.session(2.0, allowed_lateness=1e6)
-    arrival = gen.permutation(n)
+def _bridging_bursts(gen, n):
+    """Four bursts of event times, arrival shuffled across all of them."""
+    ts, _ = _bursty_times(n, gap=2.0, bursts=4, seed=int(gen.integers(1 << 30)))
+    return ts[gen.permutation(n)]
 
-    def run(mb):
-        collector, result = _stream(
-            oracle, reports, slice_reports, ts, arrival, spec,
-            chunk=13, reference=False, micro_batch=mb,
-            user_model="disjoint_users",
+
+def _straggling_bursts(gen, n):
+    """Five bursts, shuffled in each; one report in twenty is 25 late."""
+    burst = np.arange(n) % 5
+    ts = burst * 10.0 + gen.uniform(0.0, 3.0, n)
+    due = burst * 10.0 + gen.uniform(0.0, 3.0, n)
+    due[gen.random(n) < 0.05] += 25.0
+    return ts[np.argsort(due, kind="stable")]
+
+
+#: name → (spec, oracle name, event times in arrival order — ``None``
+#: for a count spec's ordinals — and the paths the stream takes).
+_DRIVER_STREAMS = {
+    "event_tumbling/jittered": (
+        WindowSpec.event_tumbling(10.0, allowed_lateness=2.0), "OLH",
+        _jittered_arrival, set(),
+    ),
+    "event_tumbling/skewed": (
+        WindowSpec.event_tumbling(10.0, allowed_lateness=2.0), "DE",
+        _stragglers, {"late"},
+    ),
+    "event_sliding/overlapping": (
+        WindowSpec.event_sliding(8.0, 2.0, allowed_lateness=1.0), "OUE",
+        _stragglers, {"late"},
+    ),
+    "event_sliding/gapped": (
+        WindowSpec.event_sliding(2.0, 5.0, allowed_lateness=1.0), "HR",
+        _stragglers, {"late"},
+    ),
+    "session/bridges": (
+        WindowSpec.session(2.0, allowed_lateness=1e6), "OLH",
+        _bridging_bursts, {"bridge"},
+    ),
+    "session/stragglers": (
+        WindowSpec.session(0.3, allowed_lateness=2.0), "SHE",
+        _straggling_bursts, {"late", "bridge"},
+    ),
+    "tumbling": (WindowSpec.tumbling(50), "OLH", None, set()),
+    "sliding": (WindowSpec.sliding(100, 25), "BLH", None, set()),
+    "gapped": (WindowSpec.sliding(30, 80), "SUE", None, set()),
+    "cumulative": (WindowSpec.cumulative(60), "DE", None, set()),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 13])
+@pytest.mark.parametrize("stream", sorted(_DRIVER_STREAMS))
+def test_driver_matches_one_fold_per_slice(stream, chunk, monkeypatch):
+    spec, oracle_name, arrival_times, paths = _DRIVER_STREAMS[stream]
+    n = 400
+    gen = np.random.default_rng(sum(map(ord, stream)))
+    ts = (
+        np.arange(n, dtype=np.float64)
+        if arrival_times is None
+        else arrival_times(gen, n)
+    )
+    values = gen.integers(0, 8, n)
+    oracle = make_oracle(oracle_name, 8, 1.2)
+    model = "disjoint_users" if chunk == 7 else "same_users"
+    reference = _one_fold_per_slice(
+        oracle, values, spec, ts, chunk=chunk, rng=107, user_model=model
+    )
+    # The equality is only a guard where the stream takes these paths.
+    assert len(reference) > 1  # panes sealed mid-stream
+    assert (reference.late_reports > 0) == ("late" in paths)
+    assert (reference.coalesced_panes > 0) == ("bridge" in paths)
+    folds = _counting_folds(monkeypatch)
+    driven = stream_collection(
+        oracle,
+        values,
+        window=spec,
+        timestamps=None if arrival_times is None else ts,
+        chunk_size=chunk,
+        rng=107,
+        user_model=model,
+    )
+    assert _record(driven) == _record(reference)
+    slices = len(list(_arrival_slices(spec, n, chunk)))
+    assert len(folds) < slices  # slices really were joined
+
+
+@pytest.mark.parametrize("chunk", [7, 25])
+def test_driver_holds_at_most_the_row_budget_unfolded(chunk, monkeypatch):
+    # Sessions that never seal before the end join every slice; a row
+    # budget of 20 caps each fold at 20 rows, or one slice when a slice
+    # is larger, and moves no output.
+    spec, oracle_name, arrival_times, _ = _DRIVER_STREAMS["session/bridges"]
+    gen = np.random.default_rng(110)
+    ts = arrival_times(gen, 300)
+    values = gen.integers(0, 8, 300)
+    oracle = make_oracle(oracle_name, 8, 1.2)
+    reference = _one_fold_per_slice(oracle, values, spec, ts, chunk=chunk, rng=111)
+    monkeypatch.setattr(streaming, "_COALESCE_ROWS", 20)
+    folds = _counting_folds(monkeypatch)
+    driven = stream_collection(
+        oracle, values, window=spec, timestamps=ts, chunk_size=chunk, rng=111
+    )
+    assert _record(driven) == _record(reference)
+    assert max(folds) == max(20 // chunk * chunk, chunk)
+
+
+def test_driver_judges_a_straggler_like_one_fold_per_slice():
+    # 3.2 arrives after the watermark passed pane 3, before any pane
+    # has sealed: it is late, and panes 3 and 4 never open.  Judged
+    # against the watermark from before 5.5 was folded, it would be
+    # absorbed and windows 3 to 6 emitted.
+    oracle = make_oracle("OLH", 8, 1.0)
+    spec = WindowSpec.event_tumbling(1.0)
+    values, ts = np.array([1, 2, 3, 4]), np.array([5.5, 3.2, 5.7, 6.4])
+    result = stream_collection(
+        oracle, values, window=spec, timestamps=ts, chunk_size=1, rng=3
+    )
+    assert result.late_reports == 1
+    assert [s.window_index for s in result] == [5, 6]
+    reference = _one_fold_per_slice(oracle, values, spec, ts, chunk=1, rng=3)
+    assert _record(result) == _record(reference)
+
+
+def test_pane_end_one_ulp_above_the_watermark():
+    # With span 0.1 the end of pane -37 is -3.6, and a watermark one
+    # ulp below it divides to exactly -36.0: a floor rule would check
+    # the end -3.5 and miss -3.6.  The report at -3.6 moves the
+    # watermark onto pane -37's end, so the one at -3.65 is late.
+    oracle = make_oracle("OLH", 8, 1.0)
+    spec = WindowSpec.event_tumbling(0.1)
+    end = spec.origin + (-37 + 1) * spec.pane_span
+    below = np.nextafter(end, -np.inf)
+    assert below / spec.pane_span == -36.0
+    geometry = EventTimeCollector(oracle, spec)._geometry
+    assert not geometry.quiet_between(below, end)
+    assert geometry.quiet_between(below, below)
+    assert not geometry.quiet_between(-np.inf, below)
+    values, ts = np.array([1, 2, 3]), np.array([below, end, -3.65])
+    result = stream_collection(
+        oracle, values, window=spec, timestamps=ts, chunk_size=1, rng=4
+    )
+    assert result.late_reports == 1
+    reference = _one_fold_per_slice(oracle, values, spec, ts, chunk=1, rng=4)
+    assert _record(result) == _record(reference)
+    # A watermark 1e300 below the data: with span 1 consecutive pane
+    # ends collapse onto it (stepping one pane at a time would take
+    # ~1e284 steps), and with span 1e-10 its pane overflows; either way
+    # the driver folds at once.
+    for span in (1.0, 1e-10):
+        far = WindowSpec.event_tumbling(span, allowed_lateness=1e300)
+        assert not EventTimeCollector(oracle, far)._geometry.quiet_between(
+            -1e300, -1e300
         )
-        extents = sorted(
-            s.group.split("[", 1)[1] for s in collector.ledger.spends
+        result = stream_collection(
+            oracle, values, window=far, timestamps=ts, chunk_size=1, rng=4
         )
-        return collector, result, extents
+        reference = _one_fold_per_slice(oracle, values, far, ts, chunk=1, rng=4)
+        assert _record(result) == _record(reference)
 
-    _, plain, plain_extents = run(None)
-    _, batched, batched_extents = run(micro_batch)
-    assert plain.absorbed_reports == batched.absorbed_reports
-    assert plain.late_reports == batched.late_reports
-    assert len(plain) == len(batched)
-    for x, y in zip(
-        sorted(plain, key=lambda s: s.window_start),
-        sorted(batched, key=lambda s: s.window_start),
-    ):
-        assert (x.window_start, x.window_end) == (y.window_start, y.window_end)
-        assert x.window_users == y.window_users
-        assert np.array_equal(x.window_estimates, y.window_estimates)
-    assert plain_extents == batched_extents
+
+class _RecordingOracle:
+    """An oracle that records the size of every slice it privatizes."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.accumulator = oracle.accumulator
+        self.privacy_spend = oracle.privacy_spend
+        self.privatized: list[int] = []
+
+    def privatize(self, values, rng=None):
+        self.privatized.append(len(values))
+        return self._oracle.privatize(values, rng=rng)
+
+
+def test_driver_refuses_the_slice_one_fold_per_slice_refuses(monkeypatch):
+    # In-order event times with zero lateness: the slices inside a pane
+    # wait unfolded, and the first slice of the next pane is charged
+    # while they wait.  A cap that admits three windows refuses pane 3.
+    gen = np.random.default_rng(108)
+    n, chunk, epsilon = 120, 4, 0.5
+    ts = np.sort(gen.uniform(0.0, 6.0, n))
+    values = gen.integers(0, 8, n)
+    spec = WindowSpec.event_tumbling(1.0)
+
+    def refused_run(drive):
+        oracle = _RecordingOracle(make_oracle("OLH", 8, epsilon))
+        ledger = PrivacyLedger(epsilon_cap=3 * epsilon)
+        with pytest.raises(BudgetExceededError):
+            drive(oracle, ledger)
+        return oracle.privatized, ledger
+
+    ref_slices, ref_ledger = refused_run(
+        lambda oracle, ledger: _one_fold_per_slice(
+            oracle, values, spec, ts, chunk=chunk, rng=109, ledger=ledger
+        )
+    )
+    folds = _counting_folds(monkeypatch)
+    slices, ledger = refused_run(
+        lambda oracle, ledger: stream_collection(
+            oracle, values, window=spec, timestamps=ts, chunk_size=chunk,
+            rng=109, ledger=ledger,
+        )
+    )
+    refused = int(np.flatnonzero(ts >= 3.0)[0]) // chunk * chunk
+    assert sum(slices) == sum(ref_slices) == refused  # never privatized
+    assert slices == ref_slices
+    assert sum(folds) < refused  # slices were waiting unfolded
+    assert _ledger(ledger) == _ledger(ref_ledger)
+    assert (ledger.total_epsilon, ledger.total_delta) == (
+        ref_ledger.total_epsilon, ref_ledger.total_delta,
+    )
+    assert len(ledger) == 3
 
 
 def _chunk_envelopes(reports, n, chunk):
@@ -345,53 +491,3 @@ def test_service_offer_batch_windowed_pane_split():
     assert np.array_equal(once.estimated_counts, coalesced.estimated_counts)
     assert coalesced.late_reports == 0
     assert coalesced.absorbed_reports == n
-
-
-def test_micro_batch_zero_is_disabled_everywhere():
-    # 0 means "disabled" on EventTimeCollector and
-    # run_distributed_collection; the count-time stream drivers must
-    # treat an explicit 0 as the same no-op instead of raising, and a
-    # real budget coalesces count-time envelopes without moving a bit.
-    from repro.protocol import stream_collection
-    from repro.protocol.streaming import stream_reports
-
-    oracle = make_oracle("DE", 4, 1.0)
-    values = np.arange(40) % 4
-    result = stream_collection(
-        oracle, values, window_size=20, rng=1, micro_batch=0
-    )
-    assert result.absorbed_reports == 40
-    reports = oracle.privatize(values, rng=2)
-    result = stream_reports(
-        oracle, reports, window=WindowSpec.tumbling(20), micro_batch=0
-    )
-    assert result.absorbed_reports == 40
-    plain = stream_collection(oracle, values, window_size=20, chunk_size=3, rng=1)
-    batched = stream_collection(
-        oracle, values, window_size=20, chunk_size=3, rng=1, micro_batch=16
-    )
-    assert len(plain) == len(batched) == 2
-    for x, y in zip(plain, batched):
-        assert np.array_equal(x.window_estimates, y.window_estimates)
-        assert x.total_epsilon == y.total_epsilon
-
-
-def test_flushing_accessors_stay_consistent(slice_reports):
-    # Every read accessor — stage_seconds included — flushes the
-    # coalescing buffer, so counters and stage totals always describe
-    # the same set of folded envelopes.
-    oracle = make_oracle("DE", 6, 1.0)
-    n = 60
-    gen = np.random.default_rng(105)
-    # Keep every timestamp inside the first pane so the would-seal
-    # flush never fires and the envelope genuinely sits in the buffer.
-    ts = np.sort(gen.uniform(0.0, 8.0, n))
-    reports = oracle.privatize(gen.integers(0, 6, n), rng=106)
-    spec = WindowSpec.event_tumbling(10.0)
-    collector = EventTimeCollector(oracle, spec, micro_batch=100_000)
-    collector.absorb(TimedReports(ts, reports))
-    assert collector._pending  # genuinely buffered, below the budget
-    stages = collector.stage_seconds  # forces the flush
-    assert not collector._pending
-    assert stages["absorb"] > 0.0
-    assert collector.total_users == n

@@ -6,10 +6,13 @@ out-of-order arrival — stragglers inside and beyond ``allowed_lateness``;
 for sessions, shuffled bursts whose late reports bridge open sessions
 and stragglers behind the sealed horizon — through both public entry
 points: :func:`stream_collection` (privatizing chunk by chunk, charging
-each chunk's windows first) and :class:`EventTimeCollector` fed
-pre-privatized envelopes.  Every spec runs under both user models with
-``micro_batch`` off and on, and is compared against
-``golden_event_windows.json``: per snapshot the window index, bounds,
+each chunk's windows first, and folding consecutive chunks as one
+envelope wherever no output can change) and :class:`EventTimeCollector`
+fed pre-privatized envelopes one chunk at a time.  Every spec runs
+under both user models.  ``golden_event_windows.json`` keys each run
+twice, ``…/unbatched`` and ``…/micro_batch`` (written while an opt-in
+coalescing buffer still existed, whose runs were equal), so one run
+fills both keys.  The record pins, per snapshot, the window index, bounds,
 window/total users, pane count, late count, the exact window and
 cumulative estimates and the privacy trajectory; per run the absorbed
 and late counts, the coalesced panes and every ledger entry (label,
@@ -41,7 +44,8 @@ GOLDEN = Path(__file__).with_name("golden_event_windows.json")
 
 _N = 480
 _CHUNK = 16
-_MICRO_BATCH = 64
+#: The record's two keys for every run (see the module docstring).
+_BATCHINGS = ("unbatched", "micro_batch")
 _USER_MODELS = ("same_users", "disjoint_users")
 
 #: name → (spec, oracle name); event specs share one straggler stream.
@@ -118,31 +122,27 @@ def observe() -> dict:
         oracle = make_oracle(oracle_name, 8, 1.0)
         reports = oracle.privatize(values, rng=604 + k)
         for model in _USER_MODELS:
-            for micro_batch in (None, _MICRO_BATCH):
-                batching = "micro_batch" if micro_batch else "unbatched"
-                out[f"collection/{name}/{model}/{batching}"] = _stream(
-                    stream_collection(
-                        oracle,
-                        values,
-                        window=spec,
-                        timestamps=ts,
-                        chunk_size=_CHUNK,
-                        rng=605 + k,
-                        user_model=model,
-                        micro_batch=micro_batch,
-                    )
+            collection = _stream(
+                stream_collection(
+                    oracle,
+                    values,
+                    window=spec,
+                    timestamps=ts,
+                    chunk_size=_CHUNK,
+                    rng=605 + k,
+                    user_model=model,
                 )
-                collector = EventTimeCollector(
-                    oracle, spec, user_model=model, micro_batch=micro_batch
+            )
+            collector = EventTimeCollector(oracle, spec, user_model=model)
+            for a in range(0, _N, _CHUNK):
+                part = slice(a, a + _CHUNK)
+                collector.absorb(
+                    TimedReports(ts[part], slice_report_batch(reports, part))
                 )
-                for a in range(0, _N, _CHUNK):
-                    part = slice(a, a + _CHUNK)
-                    collector.absorb(
-                        TimedReports(ts[part], slice_report_batch(reports, part))
-                    )
-                out[f"collector/{name}/{model}/{batching}"] = _stream(
-                    collector.finish()
-                )
+            fed = _stream(collector.finish())
+            for batching in _BATCHINGS:
+                out[f"collection/{name}/{model}/{batching}"] = collection
+                out[f"collector/{name}/{model}/{batching}"] = fed
     return out
 
 
