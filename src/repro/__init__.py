@@ -24,33 +24,25 @@ experiment-by-experiment reproduction record.
 
 __version__ = "1.0.0"
 
-from repro.core import (
-    DirectEncoding,
-    FrequencyOracle,
-    HadamardResponse,
-    OptimalLocalHashing,
-    OptimalUnaryEncoding,
-    PrivacyLedger,
-    SpendDeclaration,
-    SummationHistogramEncoding,
-    SymmetricUnaryEncoding,
-    ThresholdHistogramEncoding,
-    WarnerRandomizedResponse,
-    make_oracle,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "__version__",
-    "DirectEncoding",
-    "FrequencyOracle",
-    "HadamardResponse",
-    "OptimalLocalHashing",
-    "OptimalUnaryEncoding",
-    "PrivacyLedger",
-    "SpendDeclaration",
-    "SummationHistogramEncoding",
-    "SymmetricUnaryEncoding",
-    "ThresholdHistogramEncoding",
-    "WarnerRandomizedResponse",
-    "make_oracle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "DirectEncoding",
+            "FrequencyOracle",
+            "HadamardResponse",
+            "OptimalLocalHashing",
+            "OptimalUnaryEncoding",
+            "PrivacyLedger",
+            "SpendDeclaration",
+            "SummationHistogramEncoding",
+            "SymmetricUnaryEncoding",
+            "ThresholdHistogramEncoding",
+            "WarnerRandomizedResponse",
+            "make_oracle",
+        ),
+    },
+)
+__all__ = ["__version__", *__all__]

@@ -4,88 +4,53 @@ This package is the tutorial's Section 1.1 plus the frequency-oracle
 family of Wang et al. [21] that Sections 1.2's deployed systems build on.
 """
 
-from repro.core.budget import (
-    BudgetExceededError,
-    PrivacyLedger,
-    PrivacySpend,
-    SpendDeclaration,
-    advanced_composition,
-    compose_parallel,
-    compose_sequential,
-    optimal_per_round_epsilon,
-)
-from repro.core.estimation import (
-    ORACLE_REGISTRY,
-    analytical_variances,
-    choose_oracle,
-    coverage,
-    hoeffding_count_bound,
-    make_oracle,
-)
-from repro.core.hadamard import HadamardAccumulator, HadamardResponse
-from repro.core.histogram import (
-    SummationAccumulator,
-    SummationHistogramEncoding,
-    ThresholdHistogramEncoding,
-)
-from repro.core.local_hashing import BinaryLocalHashing, OptimalLocalHashing
-from repro.core.mechanism import (
-    Accumulator,
-    FrequencyOracle,
-    HashedReports,
-    IndexedBitReports,
-    LocalMechanism,
-    PureAccumulator,
-    PureFrequencyOracle,
-    postprocess_counts,
-)
-from repro.core.randomized_response import DirectEncoding, WarnerRandomizedResponse
-from repro.core.serialization import (
-    AccumulatorPayload,
-    pack_accumulator_state,
-    unpack_accumulator_state,
-)
-from repro.core.timed import TimedReports, batch_length, slice_report_batch
-from repro.core.unary import OptimalUnaryEncoding, SymmetricUnaryEncoding
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BudgetExceededError",
-    "PrivacyLedger",
-    "PrivacySpend",
-    "SpendDeclaration",
-    "advanced_composition",
-    "compose_parallel",
-    "compose_sequential",
-    "optimal_per_round_epsilon",
-    "ORACLE_REGISTRY",
-    "analytical_variances",
-    "choose_oracle",
-    "coverage",
-    "hoeffding_count_bound",
-    "make_oracle",
-    "Accumulator",
-    "AccumulatorPayload",
-    "pack_accumulator_state",
-    "unpack_accumulator_state",
-    "HadamardAccumulator",
-    "HadamardResponse",
-    "SummationAccumulator",
-    "SummationHistogramEncoding",
-    "ThresholdHistogramEncoding",
-    "BinaryLocalHashing",
-    "OptimalLocalHashing",
-    "FrequencyOracle",
-    "HashedReports",
-    "IndexedBitReports",
-    "LocalMechanism",
-    "PureAccumulator",
-    "PureFrequencyOracle",
-    "postprocess_counts",
-    "DirectEncoding",
-    "WarnerRandomizedResponse",
-    "OptimalUnaryEncoding",
-    "SymmetricUnaryEncoding",
-    "TimedReports",
-    "batch_length",
-    "slice_report_batch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "budget": (
+            "BudgetExceededError",
+            "PrivacyLedger",
+            "PrivacySpend",
+            "SpendDeclaration",
+            "advanced_composition",
+            "compose_parallel",
+            "compose_sequential",
+            "optimal_per_round_epsilon",
+        ),
+        "estimation": (
+            "ORACLE_REGISTRY",
+            "analytical_variances",
+            "choose_oracle",
+            "coverage",
+            "hoeffding_count_bound",
+            "make_oracle",
+        ),
+        "hadamard": ("HadamardAccumulator", "HadamardResponse"),
+        "histogram": (
+            "SummationAccumulator",
+            "SummationHistogramEncoding",
+            "ThresholdHistogramEncoding",
+        ),
+        "local_hashing": ("BinaryLocalHashing", "OptimalLocalHashing"),
+        "mechanism": (
+            "Accumulator",
+            "FrequencyOracle",
+            "HashedReports",
+            "IndexedBitReports",
+            "LocalMechanism",
+            "PureAccumulator",
+            "PureFrequencyOracle",
+            "postprocess_counts",
+        ),
+        "randomized_response": ("DirectEncoding", "WarnerRandomizedResponse"),
+        "serialization": (
+            "AccumulatorPayload",
+            "pack_accumulator_state",
+            "unpack_accumulator_state",
+        ),
+        "timed": ("TimedReports", "batch_length", "slice_report_batch"),
+        "unary": ("OptimalUnaryEncoding", "SymmetricUnaryEncoding"),
+    },
+)

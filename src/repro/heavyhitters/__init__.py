@@ -1,13 +1,13 @@
 """Heavy-hitter identification protocols over massive domains [3, 4, 19, 21]."""
 
-from repro.heavyhitters.common import HeavyHitterResult
-from repro.heavyhitters.pem import pem_heavy_hitters
-from repro.heavyhitters.succinct import bitstogram_heavy_hitters
-from repro.heavyhitters.treehist import treehist_heavy_hitters
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HeavyHitterResult",
-    "pem_heavy_hitters",
-    "bitstogram_heavy_hitters",
-    "treehist_heavy_hitters",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "common": ("HeavyHitterResult",),
+        "pem": ("pem_heavy_hitters",),
+        "succinct": ("bitstogram_heavy_hitters",),
+        "treehist": ("treehist_heavy_hitters",),
+    },
+)

@@ -1,77 +1,44 @@
 """Client/aggregator simulation layer."""
 
-from repro.protocol.chaos import (
-    FaultPlan,
-    FrameFilter,
-    WorkerFault,
-    chaos_unit,
-)
-from repro.protocol.service import (
-    SERVICE_BACKENDS,
-    CombinerCore,
-    CombinerDaemon,
-    IngestDaemon,
-    RetryPolicy,
-    SealedWindow,
-    ServiceError,
-    ServiceResult,
-    ShardFolder,
-    ShipPayload,
-    WorkerServiceStats,
-    feed_envelopes,
-    run_distributed_collection,
-)
-from repro.protocol.simulation import (
-    BACKENDS,
-    CollectionStats,
-    ShardedCollectionStats,
-    ShardStats,
-    report_bytes,
-    run_collection,
-    run_sharded_collection,
-)
-from repro.protocol.streaming import (
-    COMPOSITIONS,
-    USER_MODELS,
-    EventTimeCollector,
-    StreamResult,
-    StreamSnapshot,
-    WindowSpec,
-    stream_collection,
-    stream_reports,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "COMPOSITIONS",
-    "SERVICE_BACKENDS",
-    "USER_MODELS",
-    "CollectionStats",
-    "CombinerCore",
-    "CombinerDaemon",
-    "EventTimeCollector",
-    "FaultPlan",
-    "FrameFilter",
-    "IngestDaemon",
-    "RetryPolicy",
-    "SealedWindow",
-    "ServiceError",
-    "ServiceResult",
-    "ShardFolder",
-    "ShardedCollectionStats",
-    "ShardStats",
-    "ShipPayload",
-    "StreamResult",
-    "StreamSnapshot",
-    "WindowSpec",
-    "WorkerFault",
-    "WorkerServiceStats",
-    "chaos_unit",
-    "feed_envelopes",
-    "report_bytes",
-    "run_collection",
-    "run_distributed_collection",
-    "run_sharded_collection",
-    "stream_collection",
-    "stream_reports",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "chaos": ("FaultPlan", "FrameFilter", "WorkerFault", "chaos_unit"),
+        "service": (
+            "SERVICE_BACKENDS",
+            "CombinerCore",
+            "CombinerDaemon",
+            "IngestDaemon",
+            "RetryPolicy",
+            "SealedWindow",
+            "ServiceError",
+            "ServiceResult",
+            "ShardFolder",
+            "ShipPayload",
+            "WorkerServiceStats",
+            "feed_envelopes",
+            "run_distributed_collection",
+        ),
+        "simulation": (
+            "BACKENDS",
+            "CollectionStats",
+            "ShardedCollectionStats",
+            "ShardStats",
+            "report_bytes",
+            "run_collection",
+            "run_sharded_collection",
+        ),
+        "streaming": (
+            "COMPOSITIONS",
+            "USER_MODELS",
+            "EventTimeCollector",
+            "StreamResult",
+            "StreamSnapshot",
+            "WindowSpec",
+            "stream_collection",
+            "stream_reports",
+        ),
+    },
+)

@@ -399,7 +399,12 @@ class WindowSpec:
     def pane_index(self, timestamps: np.ndarray) -> np.ndarray:
         """Fixed pane period (int64) each timestamp falls in.
 
-        Pane ``p`` covers ``[origin + p·span, origin + (p+1)·span)``.
+        Pane ``p`` covers ``[origin + p·span, origin + (p+1)·span)``,
+        evaluated as :meth:`pane_bounds` evaluates it: a bare floor of
+        ``(t − origin) / span`` can land one pane off next to a pane
+        end, so it is stepped down where the pane starts above ``t``
+        and up where it ends at or below ``t`` (exact while a pane
+        spans more than a few ulps of its bounds).
         Casting past int64 wraps silently (numpy only warns) and a
         wrapped pane index derails any sealing frontier, so timestamps
         whose pane index reaches ±2^62 are rejected instead (epoch-
@@ -420,6 +425,8 @@ class WindowSpec:
                 f"(pane index beyond ±2^62; span={span}, origin="
                 f"{self.origin}) — rescale the event clock or origin"
             )
+        raw -= self.origin + raw * span > timestamps
+        raw += self.origin + (raw + 1) * span <= timestamps
         return raw.astype(np.int64)
 
     def pane_bounds(self, index: int) -> tuple[float, float]:
@@ -912,7 +919,6 @@ class _FixedPaneGeometry(_PaneGeometry):
             else min(self._open)
         )
         watermark = c.watermark
-        span = c.spec.pane_span
         while True:
             if everything:
                 if not self._open:
@@ -934,10 +940,7 @@ class _FixedPaneGeometry(_PaneGeometry):
                     # Never leap past the watermark: panes beyond it are
                     # still open for late data and must not be marked
                     # sealed just because the next report is far ahead.
-                    next_pane = min(
-                        next_pane,
-                        int(math.floor((watermark - c.spec.origin) / span)),
-                    )
+                    next_pane = min(next_pane, int(c.spec.pane_index(watermark)))
                 if next_pane > frontier:
                     self._sealed_through = next_pane - 1
                     frontier = next_pane
@@ -1422,6 +1425,8 @@ class EventTimeCollector:
         self._max_event_time = -math.inf
         self._late = 0
         self._absorbed = 0
+        # (reports absorbed, users, estimates) of the last cumulative view.
+        self._cumulative: tuple[int, int, np.ndarray | None] | None = None
         self._snapshots: list[StreamSnapshot] = []
         self._finished = False
         self._stage_seconds = {
@@ -1588,14 +1593,27 @@ class EventTimeCollector:
     def _record_snapshot(
         self, *, index, start, end, window_users, window_est, t0
     ) -> None:
-        """Emit one sealed window (cumulative view over everything live)."""
-        cumulative_users, cumulative = _merged_estimates(
-            [
-                self._store.retired,
-                *self._store.window_components(),
-                *self._geometry.open_accumulators(),
-            ]
-        )
+        """Emit one sealed window (cumulative view over everything live).
+
+        Seals and evictions only move panes between open, sealed and
+        retired, so the cumulative view changes only when reports are
+        absorbed: it is merged once per absorbed state, not once per
+        pane of a seal cascade, and each snapshot gets its own copy.
+        """
+        if self._cumulative is None or self._cumulative[0] != self._absorbed:
+            self._cumulative = (
+                self._absorbed,
+                *_merged_estimates(
+                    [
+                        self._store.retired,
+                        *self._store.window_components(),
+                        *self._geometry.open_accumulators(),
+                    ]
+                ),
+            )
+        _, cumulative_users, cumulative = self._cumulative
+        if cumulative is not None:
+            cumulative = cumulative.copy()
         if self.spec.kind == "cumulative":
             window_users, window_est = cumulative_users, cumulative
         t1 = time.perf_counter()

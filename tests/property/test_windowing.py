@@ -268,3 +268,36 @@ def test_pane_store_never_exceeds_capacity(panes, rolls):
         )
         assert len(col.snapshots) == k + 1  # the pane sealed
         assert col.pane_count <= spec.num_panes
+
+
+@given(
+    span=st.floats(1e-3, 1e4),
+    origin=st.floats(-1e9, 1e9),
+    index=st.integers(-(10**9), 10**9),
+    sliding=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_pane_index_lands_in_its_pane_bounds(span, origin, index, sliding):
+    # pane_bounds(pane_index(t)) contains t, also for the float
+    # neighbours of a pane's start and end, where a bare floor of
+    # (t - origin) / span can land one pane off.
+    spec = (
+        WindowSpec.event_sliding(2 * span, span, origin=origin)
+        if sliding
+        else WindowSpec.event_tumbling(span, origin=origin)
+    )
+    start, end = spec.pane_bounds(index)
+    ts = np.array(
+        [
+            np.nextafter(start, -np.inf),
+            start,
+            np.nextafter(start, np.inf),
+            (start + end) / 2,
+            np.nextafter(end, -np.inf),
+            end,
+            np.nextafter(end, np.inf),
+        ]
+    )
+    for t, pane in zip(ts.tolist(), spec.pane_index(ts).tolist()):
+        lo, hi = spec.pane_bounds(pane)
+        assert lo <= t < hi, (t, pane, lo, hi)

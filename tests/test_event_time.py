@@ -14,7 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import TimedReports, batch_length, make_oracle, slice_report_batch
+from repro.core import (
+    PureAccumulator,
+    TimedReports,
+    batch_length,
+    make_oracle,
+    slice_report_batch,
+)
 from repro.core.budget import BudgetExceededError, PrivacyLedger
 from repro.core.mechanism import HashedReports
 from repro.protocol import (
@@ -326,6 +332,50 @@ class TestWatermark:
         assert result.late_reports == 1
         assert result.absorbed_reports == 3
         assert {s.window_index for s in result if s.window_users} == {0, 95, 100}
+
+    @pytest.mark.parametrize("lateness", [0.0, 1.0])
+    def test_dead_air_leap_caps_at_the_pane_holding_the_watermark(self, lateness):
+        # The watermark t lies one ulp below -3.6, in pane -37 =
+        # [-3.7, -3.6).  A bare floor put t in pane -36, and the leap
+        # over dead air, capped by the same floor, sealed pane -37 while
+        # the watermark was still inside it, so -3.65 was counted late.
+        # With lateness 1 the newest report's pane lies beyond the
+        # watermark's, so the cap alone decides where the leap stops.
+        t = math.nextafter(-3.6, -math.inf)
+        oracle, col = self._collector(lateness, span=0.1)
+        assert col.spec.pane_index(np.array([t])).tolist() == [-37]
+        for ts in (-10.0, t + lateness, -3.65):
+            col.absorb(self._batch(oracle, [ts]))
+        assert col.watermark == t
+        assert col.late_reports == 0
+        result = col.finish()
+        assert result.absorbed_reports == 3
+
+    def test_seal_cascade_merges_linearly_in_panes(self, monkeypatch):
+        # finish() seals every open pane in one cascade.  Sealing moves
+        # a pane but adds no report, so the cumulative view is merged
+        # once for the cascade, not once per sealed pane (~P²/2 merges).
+        merges = 0
+        merge = PureAccumulator.merge
+
+        def counted(self, other):
+            nonlocal merges
+            merges += 1
+            return merge(self, other)
+
+        panes = 240
+        oracle = make_oracle("OLH", 16, 1.0)
+        col = EventTimeCollector(
+            oracle, WindowSpec.event_tumbling(1.0, allowed_lateness=panes)
+        )
+        ts = np.random.default_rng(5).uniform(0, panes, 20_000)
+        col.absorb(self._batch(oracle, ts))
+        assert col.pane_count == panes
+        monkeypatch.setattr(PureAccumulator, "merge", counted)
+        result = col.finish()
+        assert len(result) == panes
+        assert merges <= 4 * panes
+        assert result[-1].total_users == ts.size
 
     def test_long_dead_air_is_compressed_not_enumerated(self):
         oracle, col = self._collector(0.0)
