@@ -73,14 +73,6 @@ class SummationHistogramEncoding(FrequencyOracle):
             )
         return arr
 
-    def column_sums(self, reports: np.ndarray) -> np.ndarray:
-        """Validated per-coordinate sums — SHE's sufficient statistic.
-
-        A plain (order-dependent) float reduction; the accumulator path
-        sums exactly instead, so the two agree only to float precision.
-        """
-        return self.report_matrix(reports).sum(axis=0)
-
     def accumulator(self) -> "SummationAccumulator":
         """A fresh column-sum accumulator."""
         return SummationAccumulator(self)
@@ -150,6 +142,8 @@ class SummationAccumulator(Accumulator):
     whose reports are dense ``(n, d)`` matrices anyway; state is
     ``O(70·d)`` int64 words.
     """
+
+    _STATE = ("words",)
 
     def __init__(self, oracle: SummationHistogramEncoding) -> None:
         self._oracle = oracle
@@ -237,21 +231,10 @@ class SummationAccumulator(Accumulator):
         self._n += int(cols.shape[0])
         return self
 
-    def _check_mergeable(self, other: Accumulator) -> None:
-        super()._check_mergeable(other)
-        assert isinstance(other, SummationAccumulator)
-        if (
-            other._oracle.domain_size != self._oracle.domain_size
-            or other._oracle.epsilon != self._oracle.epsilon
-        ):
-            raise ValueError("cannot merge accumulators of differently configured oracles")
-
     def merge(self, other: Accumulator) -> "SummationAccumulator":
-        self._check_mergeable(other)
-        assert isinstance(other, SummationAccumulator)
-        self._words += other._words
+        """The additive merge, then a carry pass so words cannot overflow."""
+        super().merge(other)
         self._normalize()
-        self._n += other._n
         return self
 
     def finalize(self) -> np.ndarray:
@@ -284,13 +267,6 @@ class SummationAccumulator(Accumulator):
             "epsilon": float(self._oracle.epsilon),
             "summation": "exact-fixed-point-v1",
         }
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {"words": self._words}
-
-    def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
-        self._words = arrays["words"]
-        self._n = int(n)
 
 
 class ThresholdHistogramEncoding(PureFrequencyOracle):

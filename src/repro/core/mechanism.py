@@ -142,8 +142,18 @@ class Accumulator(ABC):
       summaries can cross process and machine boundaries; payloads carry
       the producing configuration's fingerprint and deserialization
       rejects mismatches.
+
+    The state is a set of additive tallies: a concrete accumulator
+    declares their names in ``_STATE`` (array ``name`` lives in
+    ``self._<name>``), and this base class merges, copies, serializes
+    and stacks exactly those arrays.  One rule decides compatibility —
+    equal :meth:`config_fingerprint` — for merges and for state
+    arriving from elsewhere alike.
     """
 
+    #: State array names, in wire order.  No default: an accumulator
+    #: that declared none would merge by dropping its state.
+    _STATE: tuple[str, ...]
     _n: int = 0
 
     @property
@@ -173,12 +183,18 @@ class Accumulator(ABC):
         for target, lo, hi in zip(targets, bounds, bounds[1:]):
             target.absorb(slice_report_batch(reports, slice(lo, hi)))
 
-    @abstractmethod
     def merge(self, other: "Accumulator") -> "Accumulator":
         """Fold another compatible accumulator in; returns ``self``.
 
-        ``other`` is read, never written: it stays bitwise unchanged.
+        Adds each of ``other``'s state arrays into this one's, in
+        place, then its count.  ``other`` is read, never written: it
+        stays bitwise unchanged.
         """
+        self._check_mergeable(other)
+        for name, own in self._state_arrays().items():
+            own += getattr(other, f"_{name}")
+        self._n += other._n
+        return self
 
     @abstractmethod
     def finalize(self) -> np.ndarray:
@@ -189,13 +205,32 @@ class Accumulator(ABC):
         """
 
     def _check_mergeable(self, other: "Accumulator") -> None:
-        """Reject merges across accumulator types (subclasses add more)."""
+        """Refuse another accumulator type (``TypeError``) or configuration."""
         if type(other) is not type(self):
             raise TypeError(
                 f"cannot merge {type(other).__name__} into {type(self).__name__}"
             )
+        self._check_fingerprint(
+            type(other).__name__, other.config_fingerprint(), "accumulator"
+        )
 
-    # -- state hooks (implemented by every concrete accumulator) -----------
+    def _check_fingerprint(self, kind: str, config: dict, source: str) -> None:
+        """Refuse state produced under another configuration (``ValueError``).
+
+        The one compatibility rule, shared by :meth:`merge`,
+        :meth:`from_bytes`, the service combiner's ship receipt and the
+        RAPPOR decode: state is accepted only from the same accumulator
+        class (``kind``) under an equal :meth:`config_fingerprint`.
+        """
+        own = self.config_fingerprint()
+        if kind != type(self).__name__ or config != own:
+            raise ValueError(
+                f"{source} was produced under a different configuration "
+                f"({source} {kind} {config!r} vs receiver "
+                f"{type(self).__name__} {own!r})"
+            )
+
+    # -- state -------------------------------------------------------------
 
     @abstractmethod
     def config_fingerprint(self) -> dict:
@@ -206,13 +241,15 @@ class Accumulator(ABC):
         ε, sketch geometry, hash seeds, candidate list, and so on.
         """
 
-    @abstractmethod
     def _state_arrays(self) -> dict[str, np.ndarray]:
-        """The complete mutable state as named arrays (scalars as 1-vectors)."""
+        """The complete mutable state as named arrays, in ``_STATE`` order."""
+        return {name: getattr(self, f"_{name}") for name in self._STATE}
 
-    @abstractmethod
     def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
         """Replace the state with already-validated arrays plus the count."""
+        for name in self._STATE:
+            setattr(self, f"_{name}", arrays[name])
+        self._n = int(n)
 
     def _checked_arrays(
         self, arrays: dict[str, np.ndarray], rows: int | None = None
@@ -334,17 +371,7 @@ class Accumulator(ABC):
                 f"(this one already absorbed {self._n} reports)"
             )
         decoded = unpack_accumulator_state(payload)
-        if decoded.kind != type(self).__name__:
-            raise ValueError(
-                f"payload holds {decoded.kind} state, cannot hydrate "
-                f"{type(self).__name__}"
-            )
-        own = self.config_fingerprint()
-        if decoded.config != own:
-            raise ValueError(
-                "payload was produced under a different configuration "
-                f"(payload {decoded.config!r} vs receiver {own!r})"
-            )
+        self._check_fingerprint(decoded.kind, decoded.config, "payload")
         if decoded.n < 0:
             raise ValueError(f"payload reports negative n ({decoded.n})")
         self._load_state(self._checked_arrays(decoded.arrays), decoded.n)
@@ -595,6 +622,8 @@ class PureAccumulator(Accumulator):
     checks, state addition and final estimator are shared.
     """
 
+    _STATE = ("state",)
+
     def __init__(
         self, oracle: PureFrequencyOracle, candidates: np.ndarray | None = None
     ) -> None:
@@ -666,25 +695,6 @@ class PureAccumulator(Accumulator):
             target._state += row
             target._n += hi - lo
 
-    def _check_mergeable(self, other: Accumulator) -> None:
-        super()._check_mergeable(other)
-        assert isinstance(other, PureAccumulator)
-        if (
-            other._oracle.domain_size != self._oracle.domain_size
-            or other._oracle.p_star != self._oracle.p_star
-            or other._oracle.q_star != self._oracle.q_star
-        ):
-            raise ValueError("cannot merge accumulators of differently configured oracles")
-        if not _same_candidates(self._candidates, other._candidates):
-            raise ValueError("cannot merge accumulators over different candidate lists")
-
-    def merge(self, other: Accumulator) -> "PureAccumulator":
-        self._check_mergeable(other)
-        assert isinstance(other, PureAccumulator)
-        self._state += other._state
-        self._n += other._n
-        return self
-
     def finalize(self) -> np.ndarray:
         """Shared pure-protocol estimator ``(C_v − n q*) / (p* − q*)``."""
         p, q = self._oracle.p_star, self._oracle.q_star
@@ -703,13 +713,6 @@ class PureAccumulator(Accumulator):
                 else [int(c) for c in self._candidates]
             ),
         }
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {"state": self._state}
-
-    def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
-        self._state = arrays["state"]
-        self._n = int(n)
 
 
 def _same_candidates(a: np.ndarray | None, b: np.ndarray | None) -> bool:

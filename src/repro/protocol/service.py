@@ -555,8 +555,6 @@ class CombinerCore:
         self._sealed_through: int | None = None  # last sealed pane index
         self._windows: list[SealedWindow] = []
         self._total = oracle.accumulator()
-        self._kind = type(self._total).__name__
-        self._config = self._total.config_fingerprint()
         self._worker_stats: dict[int, WorkerServiceStats] = {}
         self.absorbed = 0
         self.late = 0
@@ -681,11 +679,6 @@ class CombinerCore:
         return tuple(seen)
 
     @property
-    def eviction_log(self) -> tuple[tuple[int, float], ...]:
-        """``(worker, at)`` eviction events, in order."""
-        return tuple(self._eviction_log)
-
-    @property
     def degraded(self) -> bool:
         """Whether any eviction ever happened (healed or not)."""
         return bool(self._eviction_log)
@@ -807,12 +800,7 @@ class CombinerCore:
         :class:`ServiceError` when worker and combiner disagree on the
         window spec.
         """
-        if ship.kind != self._kind or ship.config != self._config:
-            raise ValueError(
-                "ship was produced under a different configuration "
-                f"(ship {ship.kind} {ship.config!r} vs combiner "
-                f"{self._kind} {self._config!r})"
-            )
+        self._total._check_fingerprint(ship.kind, ship.config, "ship")
         parts = self._total.unstack_rows(ship.rows, ship.n)
         counts = [count for _, count in ship.sections]
         if not all(type(c) is int and c >= 0 for c in counts) or sum(

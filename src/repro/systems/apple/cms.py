@@ -171,7 +171,7 @@ class _SketchBase(ABC):
 
 
 class _SketchAccumulator(Accumulator):
-    """Shared merge/read plumbing for count-mean-sketch accumulators.
+    """Shared read plumbing for count-mean-sketch accumulators.
 
     Subclasses keep integer per-(function, bucket) tallies and derive
     the float sketch on demand; integer state makes shard merges exact.
@@ -184,21 +184,6 @@ class _SketchAccumulator(Accumulator):
     @abstractmethod
     def sketch(self) -> np.ndarray:
         """The ``k × m`` float sketch implied by the accumulated tallies."""
-
-    def _check_mergeable(self, other: Accumulator) -> None:
-        super()._check_mergeable(other)
-        assert isinstance(other, _SketchAccumulator)
-        ours, theirs = self._owner, other._owner
-        if (
-            ours.k != theirs.k
-            or ours.m != theirs.m
-            or ours.epsilon != theirs.epsilon
-            or ours.domain_size != theirs.domain_size
-            or ours.master_seed != theirs.master_seed
-        ):
-            raise ValueError(
-                "cannot merge accumulators of differently configured sketches"
-            )
 
     def estimate_for(self, candidates: np.ndarray) -> np.ndarray:
         """De-biased count estimates for already-validated candidates."""
@@ -230,6 +215,8 @@ class CmsAccumulator(_SketchAccumulator):
     ``N[j]`` users per function: ``M = k·(c_ε/2 · S + N/2)``.
     """
 
+    _STATE = ("signed", "per_hash")
+
     def __init__(self, owner: "CountMeanSketch") -> None:
         super().__init__(owner)
         self._signed = np.zeros((owner.k, owner.m), dtype=np.int64)
@@ -252,14 +239,6 @@ class CmsAccumulator(_SketchAccumulator):
         self._n += len(reports)
         return self
 
-    def merge(self, other: Accumulator) -> "CmsAccumulator":
-        self._check_mergeable(other)
-        assert isinstance(other, CmsAccumulator)
-        self._signed += other._signed
-        self._per_hash += other._per_hash
-        self._n += other._n
-        return self
-
     def sketch(self) -> np.ndarray:
         owner = self._owner
         assert isinstance(owner, CountMeanSketch)
@@ -267,14 +246,6 @@ class CmsAccumulator(_SketchAccumulator):
             (owner.c_eps / 2.0) * self._signed
             + 0.5 * self._per_hash[:, None].astype(np.float64)
         )
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {"signed": self._signed, "per_hash": self._per_hash}
-
-    def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
-        self._signed = arrays["signed"]
-        self._per_hash = arrays["per_hash"]
-        self._n = int(n)
 
 
 class HcmsAccumulator(_SketchAccumulator):
@@ -284,6 +255,8 @@ class HcmsAccumulator(_SketchAccumulator):
     the server keeps the integer bit sums and applies the scale and one
     inverse WHT per row only at read time.
     """
+
+    _STATE = ("signed",)
 
     def __init__(self, owner: "HadamardCountMeanSketch") -> None:
         super().__init__(owner)
@@ -306,13 +279,6 @@ class HcmsAccumulator(_SketchAccumulator):
         self._n += len(reports)
         return self
 
-    def merge(self, other: Accumulator) -> "HcmsAccumulator":
-        self._check_mergeable(other)
-        assert isinstance(other, HcmsAccumulator)
-        self._signed += other._signed
-        self._n += other._n
-        return self
-
     def sketch(self) -> np.ndarray:
         owner = self._owner
         assert isinstance(owner, HadamardCountMeanSketch)
@@ -322,13 +288,6 @@ class HcmsAccumulator(_SketchAccumulator):
         # hashing to l} — the CMS sketch scale, so the same estimator
         # applies.
         return fwht(owner.k * owner.c_eps * self._signed.astype(np.float64))
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {"signed": self._signed}
-
-    def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
-        self._signed = arrays["signed"]
-        self._n = int(n)
 
 
 class CountMeanSketch(_SketchBase):

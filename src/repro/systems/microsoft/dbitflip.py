@@ -133,6 +133,8 @@ class DBitFlipAccumulator(Accumulator):
     of a batch merges to bit-identical estimates.
     """
 
+    _STATE = ("ones", "samples")
+
     def __init__(self, mechanism: DBitFlip) -> None:
         self._mechanism = mechanism
         k = mechanism.num_buckets
@@ -156,27 +158,6 @@ class DBitFlipAccumulator(Accumulator):
         self._n += len(reports)
         return self
 
-    def _check_mergeable(self, other: Accumulator) -> None:
-        super()._check_mergeable(other)
-        assert isinstance(other, DBitFlipAccumulator)
-        ours, theirs = self._mechanism, other._mechanism
-        if (
-            ours.num_buckets != theirs.num_buckets
-            or ours.d != theirs.d
-            or ours.epsilon != theirs.epsilon
-        ):
-            raise ValueError(
-                "cannot merge accumulators of differently configured mechanisms"
-            )
-
-    def merge(self, other: Accumulator) -> "DBitFlipAccumulator":
-        self._check_mergeable(other)
-        assert isinstance(other, DBitFlipAccumulator)
-        self._ones += other._ones
-        self._samples += other._samples
-        self._n += other._n
-        return self
-
     def finalize(self) -> np.ndarray:
         mech = self._mechanism
         debiased = (self._ones - self._samples * (1.0 - mech.p)) / (
@@ -191,11 +172,3 @@ class DBitFlipAccumulator(Accumulator):
             "d": int(mech.d),
             "epsilon": float(mech.epsilon),
         }
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {"ones": self._ones, "samples": self._samples}
-
-    def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
-        self._ones = arrays["ones"]
-        self._samples = arrays["samples"]
-        self._n = int(n)

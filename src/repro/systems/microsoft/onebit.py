@@ -111,9 +111,11 @@ class OneBitMeanAccumulator(Accumulator):
     mechanism estimates one population mean, not per-value counts).
     """
 
+    _STATE = ("ones",)  # the 1-bit tally, a length-1 int64 array
+
     def __init__(self, mechanism: OneBitMean) -> None:
         self._mechanism = mechanism
-        self._ones = 0
+        self._ones = np.zeros(1, dtype=np.int64)
         self._n = 0
 
     def absorb(self, reports: np.ndarray) -> "OneBitMeanAccumulator":
@@ -126,31 +128,12 @@ class OneBitMeanAccumulator(Accumulator):
         self._n += int(bits.shape[0])
         return self
 
-    def _check_mergeable(self, other: Accumulator) -> None:
-        super()._check_mergeable(other)
-        assert isinstance(other, OneBitMeanAccumulator)
-        ours, theirs = self._mechanism, other._mechanism
-        if (
-            ours.value_bound != theirs.value_bound
-            or ours.epsilon != theirs.epsilon
-        ):
-            raise ValueError(
-                "cannot merge accumulators of differently configured mechanisms"
-            )
-
-    def merge(self, other: Accumulator) -> "OneBitMeanAccumulator":
-        self._check_mergeable(other)
-        assert isinstance(other, OneBitMeanAccumulator)
-        self._ones += other._ones
-        self._n += other._n
-        return self
-
     def finalize(self) -> np.ndarray:
         if self._n == 0:
             raise ValueError("no reports absorbed — nothing to estimate")
         mech = self._mechanism
         e = math.exp(mech.epsilon)
-        per_user = ((self._ones / self._n) * (e + 1.0) - 1.0) / (e - 1.0)
+        per_user = ((self._ones[0] / self._n) * (e + 1.0) - 1.0) / (e - 1.0)
         return np.asarray([mech.value_bound * per_user], dtype=np.float64)
 
     def config_fingerprint(self) -> dict:
@@ -159,12 +142,3 @@ class OneBitMeanAccumulator(Accumulator):
             "value_bound": float(mech.value_bound),
             "epsilon": float(mech.epsilon),
         }
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        # The whole state is two integers; the 1-bit tally travels as a
-        # length-1 array so the shared wire format applies unchanged.
-        return {"ones": np.asarray([self._ones], dtype=np.int64)}
-
-    def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
-        self._ones = int(arrays["ones"][0])
-        self._n = int(n)

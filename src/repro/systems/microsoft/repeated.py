@@ -65,20 +65,12 @@ class _PerturbedOneBitAccumulator(OneBitMeanAccumulator):
         super().__init__(mechanism)
         self._gamma = float(gamma)
 
-    def _check_mergeable(self, other) -> None:
-        super()._check_mergeable(other)
-        assert isinstance(other, _PerturbedOneBitAccumulator)
-        if other._gamma != self._gamma:
-            raise ValueError(
-                "cannot merge accumulators with different flip probabilities"
-            )
-
     def finalize(self) -> np.ndarray:
         if self._n == 0:
             raise ValueError("no reports absorbed — nothing to estimate")
         mech = self._mechanism
         e = math.exp(mech.epsilon)
-        debiased = ((self._ones / self._n) - self._gamma) / (1.0 - 2.0 * self._gamma)
+        debiased = ((self._ones[0] / self._n) - self._gamma) / (1.0 - 2.0 * self._gamma)
         per_user = (debiased * (e + 1.0) - 1.0) / (e - 1.0)
         return np.asarray([mech.value_bound * per_user], dtype=np.float64)
 

@@ -87,6 +87,8 @@ class RapporAccumulator(Accumulator):
     it is checked like the rest of the configuration.
     """
 
+    _STATE = ("bit_ones", "sizes")
+
     def __init__(self, params: RapporParams, master_seed: int) -> None:
         self.params = params
         self.master_seed = int(master_seed)
@@ -130,23 +132,6 @@ class RapporAccumulator(Accumulator):
         self._n += int(rep.shape[0])
         return self
 
-    def _check_mergeable(self, other: Accumulator) -> None:
-        super()._check_mergeable(other)
-        assert isinstance(other, RapporAccumulator)
-        if other.params != self.params or other.master_seed != self.master_seed:
-            raise ValueError(
-                "cannot merge accumulators of differently configured RAPPOR "
-                "deployments (params / master seed)"
-            )
-
-    def merge(self, other: Accumulator) -> "RapporAccumulator":
-        self._check_mergeable(other)
-        assert isinstance(other, RapporAccumulator)
-        self._bit_ones += other._bit_ones
-        self._sizes += other._sizes
-        self._n += other._n
-        return self
-
     def config_fingerprint(self) -> dict:
         params = self.params
         return {
@@ -158,14 +143,6 @@ class RapporAccumulator(Accumulator):
             "q": float(params.q),
             "master_seed": int(self.master_seed),
         }
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {"bit_ones": self._bit_ones, "sizes": self._sizes}
-
-    def _load_state(self, arrays: dict[str, np.ndarray], n: int) -> None:
-        self._bit_ones = arrays["bit_ones"]
-        self._sizes = arrays["sizes"]
-        self._n = int(n)
 
     def finalize(self) -> np.ndarray:
         """Stage-1 corrected bit counts ``t̂`` of shape ``(cohorts, m)``.
@@ -291,16 +268,13 @@ class RapporAggregator:
 
         This is the deployment shape: shard collectors absorb reports
         into :class:`RapporAccumulator` instances, merge them, and the
-        analyst decodes the merged state against a candidate list.
+        analyst decodes the merged state against a candidate list.  An
+        accumulator this deployment's own could not merge is refused.
         """
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        self.accumulator()._check_mergeable(accumulated)
         params = self.params
-        if accumulated.params != params or accumulated.master_seed != self.master_seed:
-            raise ValueError(
-                "accumulator was built for a different RAPPOR deployment "
-                "(params / master seed)"
-            )
         cands = np.asarray(candidates, dtype=np.int64)
         t_hat = accumulated.finalize()
         sizes = accumulated.cohort_sizes

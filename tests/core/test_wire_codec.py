@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.estimation import ORACLE_REGISTRY
 from repro.core.serialization import (
     MAGIC,
     WIRE_VERSION,
@@ -172,3 +173,100 @@ def test_malformed_manifests_are_rejected(entry_point, arrays, index):
             h = json.dumps(header).encode("utf-8")
             with pytest.raises(error):
                 decode(prefix + struct.pack("<I", len(h)) + h + body)
+
+
+# -- accumulator headers -------------------------------------------------------
+
+#: Fingerprint fields every pure-protocol accumulator at d = 4, ε = 1 shares.
+_PURE = {"candidates": None, "domain_size": 4, "epsilon": 1.0}
+_STATE_4 = [{"dtype": "<f8", "name": "state", "shape": [4]}]
+
+#: The ``to_bytes()`` header of a fresh accumulator per registered oracle
+#: and system stack: kind, config fingerprint and array manifest (names,
+#: dtypes and shapes, in order).  A rename, reorder or dtype change of
+#: an accumulator's ``_STATE`` is a visible edit here.
+_PINNED_HEADERS = {
+    "DE": ("PureAccumulator", {**_PURE, "oracle": "DirectEncoding",
+           "p_star": 0.4753668864186717, "q_star": 0.17487770452710946}, _STATE_4),
+    "SUE": ("PureAccumulator", {**_PURE, "oracle": "SymmetricUnaryEncoding",
+            "p_star": 0.6224593312018546, "q_star": 0.3775406687981454}, _STATE_4),
+    "OUE": ("PureAccumulator", {**_PURE, "oracle": "OptimalUnaryEncoding",
+            "p_star": 0.5, "q_star": 0.2689414213699951}, _STATE_4),
+    "SHE": ("SummationAccumulator", {"domain_size": 4, "epsilon": 1.0,
+            "oracle": "SummationHistogramEncoding",
+            "summation": "exact-fixed-point-v1"},
+            [{"dtype": "<i8", "name": "words", "shape": [4, 70]}]),
+    "THE": ("PureAccumulator", {**_PURE, "oracle": "ThresholdHistogramEncoding",
+            "p_star": 0.5587515487077023, "q_star": 0.3436446393954862}, _STATE_4),
+    "BLH": ("PureAccumulator", {**_PURE, "oracle": "BinaryLocalHashing",
+            "p_star": 0.731058578630005, "q_star": 0.5}, _STATE_4),
+    "OLH": ("PureAccumulator", {**_PURE, "oracle": "OptimalLocalHashing",
+            "p_star": 0.4753668864186717, "q_star": 0.25}, _STATE_4),
+    "OLH/candidates": ("PureAccumulator", {**_PURE, "candidates": [1, 3],
+                       "oracle": "OptimalLocalHashing",
+                       "p_star": 0.4753668864186717, "q_star": 0.25},
+                       [{"dtype": "<f8", "name": "state", "shape": [2]}]),
+    "HR": ("HadamardAccumulator", {**_PURE, "oracle": "HadamardResponse",
+           "p_star": 0.7310585786300049, "q_star": 0.5}, _STATE_4),
+    "cms": ("CmsAccumulator", {"domain_size": 100, "epsilon": 1.0, "k": 4,
+            "m": 16, "master_seed": 3, "sketch": "CountMeanSketch"},
+            [{"dtype": "<i8", "name": "signed", "shape": [4, 16]},
+             {"dtype": "<i8", "name": "per_hash", "shape": [4]}]),
+    "hcms": ("HcmsAccumulator", {"domain_size": 100, "epsilon": 1.0, "k": 4,
+             "m": 16, "master_seed": 3, "sketch": "HadamardCountMeanSketch"},
+             [{"dtype": "<i8", "name": "signed", "shape": [4, 16]}]),
+    "rappor": ("RapporAccumulator", {"f": 0.5, "master_seed": 6, "num_bits": 16,
+               "num_cohorts": 4, "num_hashes": 2, "p": 0.5, "q": 0.75},
+               [{"dtype": "<f8", "name": "bit_ones", "shape": [4, 16]},
+                {"dtype": "<i8", "name": "sizes", "shape": [4]}]),
+    "dbitflip": ("DBitFlipAccumulator", {"d": 2, "epsilon": 1.0, "num_buckets": 8},
+                 [{"dtype": "<f8", "name": "ones", "shape": [8]},
+                  {"dtype": "<f8", "name": "samples", "shape": [8]}]),
+    "onebit": ("OneBitMeanAccumulator", {"epsilon": 1.0, "value_bound": 50.0},
+               [{"dtype": "<i8", "name": "ones", "shape": [1]}]),
+    "onebit/perturbed": ("_PerturbedOneBitAccumulator",
+                         {"epsilon": 1.0, "gamma": 0.25, "value_bound": 50.0},
+                         [{"dtype": "<i8", "name": "ones", "shape": [1]}]),
+}
+
+
+def _fresh_accumulator(label):
+    from repro.systems.apple import CountMeanSketch, HadamardCountMeanSketch
+    from repro.systems.microsoft import DBitFlip, OneBitMean
+    from repro.systems.microsoft.repeated import _PerturbedOneBitAccumulator
+    from repro.systems.rappor import RapporAggregator, RapporParams
+
+    if label in ORACLE_REGISTRY:
+        # An explicit θ keeps THE's fingerprint off scipy's optimizer.
+        extra = {"theta": 0.75} if label == "THE" else {}
+        return ORACLE_REGISTRY[label](4, 1.0, **extra).accumulator()
+    return {
+        "OLH/candidates": lambda: ORACLE_REGISTRY["OLH"](4, 1.0).accumulator(
+            np.array([1, 3])
+        ),
+        "cms": lambda: CountMeanSketch(
+            100, 1.0, k=4, m=16, master_seed=3
+        ).accumulator(),
+        "hcms": lambda: HadamardCountMeanSketch(
+            100, 1.0, k=4, m=16, master_seed=3
+        ).accumulator(),
+        "rappor": lambda: RapporAggregator(
+            RapporParams(num_bits=16, num_hashes=2, num_cohorts=4), 6
+        ).accumulator(),
+        "dbitflip": lambda: DBitFlip(8, 2, 1.0).accumulator(),
+        "onebit": lambda: OneBitMean(50.0, 1.0).accumulator(),
+        "onebit/perturbed": lambda: _PerturbedOneBitAccumulator(
+            OneBitMean(50.0, 1.0), 0.25
+        ),
+    }[label]()
+
+
+@pytest.mark.parametrize("label", sorted(set(ORACLE_REGISTRY) | set(_PINNED_HEADERS)))
+def test_accumulator_headers_are_pinned(label):
+    payload = _fresh_accumulator(label).to_bytes()
+    assert payload[:5] == struct.pack("<4sB", b"LDPA", 1)
+    (hlen,) = struct.unpack_from("<I", payload, 5)
+    kind, config, arrays = _PINNED_HEADERS[label]  # a new oracle needs a pin
+    assert json.loads(payload[9 : 9 + hlen]) == {
+        "kind": kind, "config": config, "arrays": arrays, "n": 0
+    }

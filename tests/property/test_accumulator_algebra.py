@@ -314,3 +314,110 @@ def test_absorb_segments_refuses_bad_starts():
         with pytest.raises(ValueError):
             targets[0].absorb_segments(targets, reports, starts)
         assert all(acc.n_absorbed == 0 for acc in targets)
+
+
+# -- one compatibility rule ------------------------------------------------------
+
+
+def _agreement_pairs():
+    """(label, factory of ``a``, ``b`` holding state), one field apart.
+
+    The label's suffix names the field ``b``'s configuration changes;
+    ``same`` pairs change none.
+    """
+    from repro.core.local_hashing import BinaryLocalHashing, OptimalLocalHashing
+    from repro.systems.microsoft.repeated import _PerturbedOneBitAccumulator
+
+    gen = np.random.default_rng(17)
+    pairs = []
+
+    def add(label, factory, other, reports):
+        pairs.append((label, factory, other.absorb(reports)))
+
+    values = gen.integers(0, 9, 40)
+    for name in sorted(ORACLE_REGISTRY):
+        base = make_oracle(name, 9, 1.3)
+        for field, oracle in (
+            ("same", make_oracle(name, 9, 1.3)),
+            ("epsilon", make_oracle(name, 9, 2.6)),
+            ("domain", make_oracle(name, 12, 1.3)),
+        ):
+            add(f"{name}-{field}", base.accumulator, oracle.accumulator(),
+                oracle.privatize(values, rng=1))
+        if isinstance(base, PureFrequencyOracle):
+            reports = base.privatize(values, rng=2)
+            picked = lambda o=base: o.accumulator(np.array([1, 4, 7]))  # noqa: E731
+            add(f"{name}/cands-same", picked,
+                base.accumulator(np.array([1, 4, 7])), reports)
+            add(f"{name}/cands-candidates", picked,
+                base.accumulator(np.array([1, 4, 8])), reports)
+            add(f"{name}/cands-full-domain", picked, base.accumulator(), reports)
+    # Equal p* and q*: only the oracle name in the fingerprint tells them apart.
+    olh, blh = OptimalLocalHashing(16, 1.0, g=2), BinaryLocalHashing(16, 1.0)
+    add("OLH(g=2)-BLH-oracle", olh.accumulator, blh.accumulator(),
+        blh.privatize(np.arange(16), rng=3))
+    add("BLH-OLH(g=2)-oracle", blh.accumulator, olh.accumulator(),
+        olh.privatize(np.arange(16), rng=3))
+
+    values = gen.integers(0, 100, 200)
+    for cls in (CountMeanSketch, HadamardCountMeanSketch):
+        base = cls(100, 2.0, k=4, m=64, master_seed=3)
+        for field, sketch in (
+            ("same", cls(100, 2.0, k=4, m=64, master_seed=3)),
+            ("seed", cls(100, 2.0, k=4, m=64, master_seed=4)),
+            ("epsilon", cls(100, 3.0, k=4, m=64, master_seed=3)),
+        ):
+            add(f"{cls.__name__}-{field}", base.accumulator, sketch.accumulator(),
+                sketch.privatize(values, rng=4))
+
+    params = RapporParams(num_bits=32, num_hashes=2, num_cohorts=4)
+    base = RapporAggregator(params, 6)
+    for field, other, seed in (
+        ("same", params, 6),
+        ("seed", params, 7),
+        ("params", RapporParams(num_bits=32, num_hashes=2, num_cohorts=4, f=0.25), 6),
+    ):
+        add(f"rappor-{field}", base.accumulator,
+            RapporAggregator(other, seed).accumulator(),
+            privatize_population(other, values % 20, seed, rng=5))
+
+    db = DBitFlip(24, 6, 1.0)
+    for field, mech in (("same", DBitFlip(24, 6, 1.0)), ("epsilon", DBitFlip(24, 6, 2.0))):
+        add(f"dbitflip-{field}", db.accumulator, mech.accumulator(),
+            mech.privatize(values % 24, rng=6))
+
+    ob = OneBitMean(50.0, 1.0)
+    bits = ob.privatize(gen.uniform(0, 50, 100), rng=7)
+    add("onebit-same", ob.accumulator, OneBitMean(50.0, 1.0).accumulator(), bits)
+    add("onebit-epsilon", ob.accumulator, OneBitMean(50.0, 2.0).accumulator(), bits)
+    perturbed = lambda: _PerturbedOneBitAccumulator(ob, 0.2)  # noqa: E731
+    add("perturbed-same", perturbed, _PerturbedOneBitAccumulator(ob, 0.2), bits)
+    add("perturbed-gamma", perturbed, _PerturbedOneBitAccumulator(ob, 0.3), bits)
+    add("onebit-perturbed", ob.accumulator, perturbed(), bits)
+    return pairs
+
+
+_AGREEMENT_PAIRS = _agreement_pairs()
+
+
+def _refuses(call) -> bool:
+    try:
+        call()
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "label,factory,other",
+    _AGREEMENT_PAIRS,
+    ids=[p[0] for p in _AGREEMENT_PAIRS],
+)
+def test_merge_refuses_exactly_what_from_bytes_refuses(label, factory, other):
+    # One rule decides compatibility: a merge is refused exactly when a
+    # fresh accumulator of the receiver's configuration refuses the
+    # other's wire payload, and every configuration change is refused.
+    merge_refused = _refuses(lambda: factory().merge(other))
+    hydrate_refused = _refuses(lambda: factory().from_bytes(other.to_bytes()))
+    assert merge_refused == hydrate_refused
+    assert merge_refused == (not label.endswith("same"))
