@@ -8,8 +8,10 @@ throughput columns (``users_per_s``, E18's ``items_per_s``) must not
 fall below ``baseline / tolerance``, latency columns (``wall_s``,
 ``snapshot_ms``, ``merge_ms``, ``finalize_ms``, ``recovery_s``) must not
 rise above ``baseline * tolerance``.  A zero cell, in a column that
-does not apply to its row, passes both rules; a dropped row or column
-is a schema change.
+does not apply to its row, passes both rules.  Error columns
+(``mean_abs_err``, ``mean_win_err``) must not rise above
+``baseline * ERROR_TOLERANCE``; a lower error always passes.  A dropped
+row or column is a schema change.
 
 Two deliberate design points:
 
@@ -69,6 +71,16 @@ LATENCY_KEYS = {
     # scheduler noise at smoke scale.
     "recovery_s": 0.5,
 }
+#: Estimation-error columns (smaller is better; fail when fresh >
+#: baseline · ``ERROR_TOLERANCE``).  Seeds are fixed, so at unchanged
+#: code these cells repeat exactly, on any machine: the band is not
+#: scaled by the machine score.  It only has to absorb a change in how
+#: the RNG is consumed.  Six other seeds moved the 49 smoke cells of
+#: E14–E17 and E19 by 0.77–1.48×, while OLH estimates that skip their
+#: debiasing step raised every nonzero cell 9–39×.  A zero
+#: baseline (a column that does not apply to its row) admits only zero.
+ERROR_KEYS = {"mean_abs_err", "mean_win_err"}
+ERROR_TOLERANCE = 2.0
 
 
 def _walk(fresh, baseline, path, findings):
@@ -91,7 +103,7 @@ def _walk(fresh, baseline, path, findings):
             _walk(f, b, f"{path}[{i}]", findings)
         return
     key = path.rsplit(".", 1)[-1].split("[")[0]
-    if key in THROUGHPUT_KEYS or key in LATENCY_KEYS:
+    if key in THROUGHPUT_KEYS or key in LATENCY_KEYS or key in ERROR_KEYS:
         if isinstance(fresh, (int, float)) and not isinstance(fresh, bool):
             findings.append((path, key, float(fresh), float(baseline), True))
         else:
@@ -176,6 +188,8 @@ def compare_payloads(fresh: dict, baseline: dict, tolerance: float | None):
             continue
         if key in THROUGHPUT_KEYS:
             ok = b <= 0.0 or f >= b / eff_tolerance
+        elif key in ERROR_KEYS:
+            ok = f <= b * ERROR_TOLERANCE
         else:
             ok = f <= b * eff_tolerance or f <= LATENCY_KEYS[key]
         rows.append((path, key, f, b, ok))
@@ -264,17 +278,23 @@ def main(argv=None) -> int:
                     print(f"{bench_id}: SCHEMA CHANGE at {path} — "
                           "update the baselines")
                 else:
+                    band = (
+                        f"error band {ERROR_TOLERANCE:g}x"
+                        if key in ERROR_KEYS
+                        else f"tolerance {tol_note}"
+                    )
                     print(
                         f"{bench_id}: REGRESSION {path} ({key}): "
-                        f"fresh {f:.4g} vs baseline {b:.4g} "
-                        f"(tolerance {tol_note})"
+                        f"fresh {f:.4g} vs baseline {b:.4g} ({band})"
                     )
         else:
-            checked = sum(1 for r in rows if r[2] is not None)
+            errors = sum(1 for r in rows if r[1] in ERROR_KEYS)
+            checked = sum(1 for r in rows if r[2] is not None) - errors
             worst = _worst_ratio(rows)
             print(
-                f"{bench_id}: ok — {checked} metrics within "
-                f"{tol_note}{worst}"
+                f"{bench_id}: ok — {checked} metrics within {tol_note}"
+                f"{f', {errors} errors within {ERROR_TOLERANCE:g}x' if errors else ''}"
+                f"{worst}"
             )
     if not args.update_baselines and compared == 0:
         if args.allow_scale_mismatch and mismatched > 0:

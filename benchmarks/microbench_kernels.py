@@ -3,9 +3,10 @@
 A fast (seconds, not minutes) visibility check for CI and local tuning:
 times the fused OLH support-count kernel and the Hadamard candidate
 kernel against their ``_reference_*`` twins on a fixed-seed batch (OLH
-at every kind of hash range ``g`` the kernel's divisibility test
-distinguishes: odd, a power of two, and even but not a power of two; the
-bit-sliced Hadamard kernel also at a 2^20 domain with 1024 candidates),
+at every kind of hash range ``g`` the kernel's match tests distinguish:
+odd, a power of two (the mask test), and even but not a power of two;
+the bit-sliced Hadamard kernel also at a 2^20 domain with 1024
+candidates),
 the OLH kernel on one pool thread against two at ldpbench's batch and
 heavy-hitter chunk shapes, the OLH client ``privatize`` cost per user,
 the segmented OLH decode of a key-sorted batch against one fused call

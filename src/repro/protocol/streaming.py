@@ -403,11 +403,14 @@ class WindowSpec:
         evaluated as :meth:`pane_bounds` evaluates it: a bare floor of
         ``(t − origin) / span`` can land one pane off next to a pane
         end, so it is stepped down where the pane starts above ``t``
-        and up where it ends at or below ``t`` (exact while a pane
-        spans more than a few ulps of its bounds).
+        and up where it ends at or below ``t``.  That is exact while a
+        pane spans more than 4 ulps of its bounds, so a timestamp whose
+        pane bounds are coarser is rejected (past a pane index of about
+        2^50 at any span, or a millisecond span at an origin of 1e15):
+        its pane's bounds could be an empty interval.
         Casting past int64 wraps silently (numpy only warns) and a
         wrapped pane index derails any sealing frontier, so timestamps
-        whose pane index reaches ±2^62 are rejected instead (epoch-
+        whose pane index reaches ±2^62 are rejected too (epoch-
         nanosecond floats with a sub-second span, say).
         """
         span = self.pane_span
@@ -419,12 +422,21 @@ class WindowSpec:
         if not np.all(np.isfinite(timestamps)):
             raise ValueError("timestamps must be finite")
         raw = np.floor((timestamps - self.origin) / span)
-        if raw.size and float(np.abs(raw).max()) >= 2.0**62:
-            raise ValueError(
-                "timestamps lie too far from origin for this pane span "
-                f"(pane index beyond ±2^62; span={span}, origin="
-                f"{self.origin}) — rescale the event clock or origin"
-            )
+        if raw.size:
+            far = float(np.abs(raw).max())
+            if far >= 2.0**62:
+                raise ValueError(
+                    "timestamps lie too far from origin for this pane span "
+                    f"(pane index beyond ±2^62; span={span}, origin="
+                    f"{self.origin}) — rescale the event clock or origin"
+                )
+            if span <= 4.0 * math.ulp(abs(self.origin) + (far + 1.0) * span):
+                raise ValueError(
+                    "timestamps lie too far from origin for this pane span "
+                    f"(pane index magnitude {far:.0f}: the span {span} is "
+                    f"within 4 ulps of its pane bounds; origin={self.origin}) — "
+                    "rescale the event clock or origin"
+                )
         raw -= self.origin + raw * span > timestamps
         raw += self.origin + (raw + 1) * span <= timestamps
         return raw.astype(np.int64)

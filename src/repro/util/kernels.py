@@ -38,17 +38,24 @@ This module replaces both:
     ed., §10-17: multiplying by ``o⁻¹`` maps the multiples of ``g``
     onto ``2ᵏ·[0, ⌊(2³² − 1)/g⌋]`` and everything else elsewhere; the
     rotate moves nonzero low bits above the bound).  At ``k = 0`` the
-    rotate is the identity, so one compare path serves every ``g``.
+    rotate is the identity.  When ``g`` is a power of two (``o = 1``:
+    BLH, OLH at ε = 1 and 2) the test is the two-pass
+    ``r & (g − 1) == y`` instead; every other ``g`` takes the
+    divisibility test.
 
   It tiles (candidates × reports) into blocks of at most 2¹⁷ cells over
   per-thread scratch (~2.1 MB; the size is set by how often two pool
-  threads must re-take the GIL, see ``_TILE_CELLS``), counts matches
-  through a uint8 view into uint16 tile sums and adds them straight into
-  int64 counts — the ``(n, d)`` matrix is never materialized.  Counts
-  are ``(k, d)`` rows, one per key segment of a key-sorted batch
-  (:meth:`FusedSupportKernel.segment_counts`): a tile inside one segment
-  reduces its report axis whole, a tile crossing segment boundaries
-  reduces at its in-tile cuts with ``np.add.reduceat``, and a plain
+  threads must re-take the GIL, see ``_TILE_CELLS``).  Tiles are shaped
+  per call from the report span: rows of ``min(span, 2¹⁴)`` reports,
+  because NumPy's broadcast passes pay a fixed cost per row, and as
+  many candidates as the cell budget allows (``_tile_shape``).  It
+  counts matches through a uint8 view into uint16 tile sums and adds
+  them straight into int64 counts — the ``(n, d)`` matrix is never
+  materialized.  Counts are ``(k, d)`` rows, one per key segment of a
+  key-sorted batch (:meth:`FusedSupportKernel.segment_counts`): a tile
+  inside one segment reduces its report axis whole, a tile crossing
+  segment boundaries reduces at its in-tile cuts with
+  ``np.add.reduceat``, and a plain
   :meth:`~FusedSupportKernel.support_counts` call is the one-segment
   case, with no per-tile segment lookup.
   Inputs outside that exact domain (``y ≥ g``, ``a`` or ``b ≥ p``,
@@ -77,7 +84,7 @@ Kernel plans and caching
 Streaming consumers (``EventTimeCollector`` panes, ``RepeatedCollector``
 rounds, ``collect_group`` chunks) decode many small report batches
 against the *same* candidate set.  The candidate-side setup — premixed
-candidates + the divisibility-test constants for local hashing, packed
+candidates + the match-test constants for local hashing, packed
 candidate bit masks for Hadamard — is captured in reusable *plans*
 (:class:`FusedSupportKernel`, :class:`HadamardCandidatePlan`) and cached
 in the process-wide :data:`kernel_plan_cache`, keyed by the oracle's
@@ -461,21 +468,25 @@ def _scratch(name: str, dtype, cells: int) -> np.ndarray:
 
 #: Tile geometry: candidates × reports blocks of at most ``_TILE_CELLS``
 #: cells.  The size is set by the GIL, not by the cache: each tile makes
-#: 14 ufunc calls, and each call releases and re-takes the GIL, so two
-#: pool threads decoding at once wait on each other less the more cells
-#: a call covers.  On a 2-vCPU host, at ldpbench ``batch_olh``'s chunk
-#: shape (62,500 reports × 64 candidates, g = 8), two threads ran 0.89×,
-#: 1.29×, 1.39× and 1.49× one thread at 2¹⁴, 2¹⁶, 2¹⁷ and 2¹⁹ cells,
-#: against 1.88× for two processes, while one thread's time stayed flat
-#: from 2¹⁵ to 2¹⁹.  The tile's scratch (uint64 product and two uint32
-#: residue planes, the bool match plane inside the spare one: 16 bytes a
-#: cell, ~2.1 MB a thread) caps it here: at 2¹⁸ cells and above the
-#: decoding threads' scratch grew by a further ≥ 6.6 MB, past the 10%
-#: peak-RSS budget of ldpbench ``heavy_hitters`` (56–57 MiB); 2¹⁷ cost
-#: it 2.6–3.8 MiB.
+#: 14 ufunc calls on the divisibility path (10 on the power-of-two mask
+#: path), and each call releases and re-takes the GIL, so two pool
+#: threads decoding at once wait on each other less the more cells a
+#: call covers.  On a 2-vCPU host, at ldpbench ``batch_olh``'s chunk
+#: shape (62,500 reports × 64 candidates, g = 8; measured with 64 × 2,048
+#: tiles and the 14-call test), two threads ran 0.89×, 1.29×, 1.39× and
+#: 1.49× one thread at 2¹⁴, 2¹⁶, 2¹⁷ and 2¹⁹ cells, against 1.88× for
+#: two processes, while one thread's time stayed flat from 2¹⁵ to 2¹⁹.
+#: The tile's scratch (uint64 product and two uint32 residue planes, the
+#: bool match plane inside the spare one: 16 bytes a cell, ~2.1 MB a
+#: thread) caps it here: at 2¹⁸ cells and above the decoding threads'
+#: scratch grew by a further ≥ 6.6 MB, past the 10% peak-RSS budget of
+#: ldpbench ``heavy_hitters`` (56–57 MiB); 2¹⁷ cost it 2.6–3.8 MiB.
 _TILE_CELLS = 1 << 17
-#: Reports per tile; must stay ≤ 2¹⁶ − 1 so the uint16 per-tile match
-#: sums cannot overflow.
+#: Reports per tile row, and the report count behind each pooled task.
+#: The uint16 per-tile match sums cap it below 2¹⁶.  ``_report_spans``
+#: gives a call ``n // _MAX_TILE_REPORTS`` tasks (at most one per
+#: thread), so raising it costs parallelism: at 2¹⁵ each 62,500-report
+#: ``batch_olh`` chunk would be one task, decoded on one thread.
 _MAX_TILE_REPORTS = 1 << 14
 #: Below this many (report × candidate) cells a kernel call runs inline
 #: even when a pool is available — dispatch would cost more than it buys.
@@ -484,14 +495,27 @@ _MIN_PARALLEL_CELLS = 1 << 21
 _P32 = np.uint32(MERSENNE_P)
 
 
+def _tile_shape(span: int, d: int) -> tuple[int, int]:
+    """``(reports, candidates)`` of each tile over a span of ``span`` reports.
+
+    Rows run ``min(span, _MAX_TILE_REPORTS)`` reports wide and take as
+    many of the ``d`` candidates as ``_TILE_CELLS`` cells allow: NumPy's
+    broadcast passes pay a fixed cost per row, so long rows beat many
+    candidates.  A span shorter than one row is one row of ``span``.
+    """
+    rows = min(span, _MAX_TILE_REPORTS)
+    return rows, max(1, min(d, _TILE_CELLS // rows))
+
+
 class FusedSupportKernel:
     """Fused hash→compare→accumulate support counting for local hashing.
 
     One instance is built per candidate list: the candidates are premixed
-    into the prime field once, the divisibility-test constants for ``g``
-    are precomputed, and every :meth:`support_counts` or
+    into the prime field once, the match-test constants for ``g`` are
+    precomputed, and every :meth:`support_counts` or
     :meth:`segment_counts` call streams report tiles through pooled
-    per-thread scratch.  For value ``v`` and
+    per-thread scratch, in tiles shaped for that call's report span
+    (``_tile_shape``).  For value ``v`` and
     report ``(s, y)`` the kernel counts ``h_s(v) == y`` matches — exactly
     the quantity ``_LocalHashing._reference_support_counts_for`` extracts
     from the materialized ``_reference_hash_cross`` matrix, bit for bit.
@@ -508,8 +532,9 @@ class FusedSupportKernel:
     4. With ``g = 2ᵏ·o``, ``o`` odd: ``g | t`` exactly when
        ``rotr(t·o⁻¹ mod 2³², k) ≤ ⌊(2³² − 1)/g⌋`` (Hacker's Delight,
        2nd ed., §10-17).  ``o⁻¹``, ``k`` and the bound are computed here
-       once; at ``k = 0`` the rotate is the identity, so every ``g``
-       runs the same passes.
+       once; at ``k = 0`` the rotate is the identity.  When ``o = 1``
+       (``g`` a power of two) ``r mod g == y`` is tested directly as
+       ``r & (g − 1) == y``: two passes instead of six.
 
     Steps 2–4 run on uint32 planes.  Inputs outside that domain would
     break the bounds and could count false matches, so they are refused:
@@ -561,12 +586,8 @@ class FusedSupportKernel:
         self._rotate_right = np.uint32(k)
         self._rotate_left = np.uint32((32 - k) % 32)
         self._multiple_bound = np.uint32((2**32 - 1) // g)
+        self._mask = np.uint32(g - 1) if g == 1 << k else None
         self._threads = threads
-        d = max(1, x.shape[0])
-        self._tile_candidates = min(d, 256)
-        self._tile_reports = max(
-            1, min(_MAX_TILE_REPORTS, _TILE_CELLS // self._tile_candidates)
-        )
 
     @property
     def num_candidates(self) -> int:
@@ -689,8 +710,8 @@ class FusedSupportKernel:
         """
         x = self._x
         d = x.shape[0]
-        tile_r = min(self._tile_reports, hi - lo)
-        tile_c = min(self._tile_candidates, d)
+        mask = self._mask
+        tile_r, tile_c = _tile_shape(hi - lo, d)
         cells = tile_c * tile_r
         product = _scratch("product", np.uint64, cells)
         residue = _scratch("residue", np.uint32, cells)
@@ -698,8 +719,12 @@ class FusedSupportKernel:
         # The match plane reuses the spare plane's bytes: the compare
         # that writes it reads only the residue plane.
         match = spare.view(np.bool_)
-        # g − y ∈ [1, g]: the per-report offset of the divisibility test.
-        offset = (self._g - y[lo:hi]).astype(np.uint32)
+        # The per-report operand of the match test: y itself for the
+        # mask, g − y ∈ [1, g] for the divisibility test.
+        if mask is None:
+            key = (self._g - y[lo:hi]).astype(np.uint32)
+        else:
+            key = y[lo:hi].astype(np.uint32)
         counts = np.zeros((1 if starts is None else starts.shape[0], d), np.int64)
         if starts is not None:
             # Segment of each tile's first and last report.
@@ -714,7 +739,7 @@ class FusedSupportKernel:
             w = r1 - r0
             ar = a[None, r0:r1]
             br = b[None, r0:r1]
-            off = offset[None, r0 - lo : r1 - lo]
+            kr = key[None, r0 - lo : r1 - lo]
             s0 = s1 = 0
             if starts is not None:
                 s0, s1 = first_seg[t], last_seg[t]
@@ -737,12 +762,16 @@ class FusedSupportKernel:
                 np.subtract(r, _P32, out=s)
                 np.minimum(r, s, out=r)
                 t1 = _thread_clock()
-                np.add(r, off, out=r)
-                np.multiply(r, self._odd_inverse, out=r)
-                np.right_shift(r, self._rotate_right, out=s)
-                np.left_shift(r, self._rotate_left, out=r)
-                np.bitwise_or(r, s, out=r)
-                np.less_equal(r, self._multiple_bound, out=eq)
+                if mask is None:
+                    np.add(r, kr, out=r)
+                    np.multiply(r, self._odd_inverse, out=r)
+                    np.right_shift(r, self._rotate_right, out=s)
+                    np.left_shift(r, self._rotate_left, out=r)
+                    np.bitwise_or(r, s, out=r)
+                    np.less_equal(r, self._multiple_bound, out=eq)
+                else:
+                    np.bitwise_and(r, mask, out=r)
+                    np.equal(r, kr, out=eq)
                 hits = eq.view(np.uint8)
                 if s0 == s1:
                     counts[s0, c0:c1] += np.add.reduce(hits, axis=1, dtype=np.uint16)

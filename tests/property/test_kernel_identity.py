@@ -9,8 +9,9 @@ This suite pins that promise:
   over adversarial edge values — 0, 2⁶³−1, 2⁶⁴−1, multiples of p;
 * the segmented OLH decode (``segment_counts``): every row equals the
   reference over its segment, for segments inside and across tiles,
-  one report per segment, and on the pooled path — including cuts on
-  and beside tile edges derived from the kernel's ``_TILE_CELLS``;
+  one report per segment, and on the pooled path — including cuts on,
+  beside and across the row edges of the kernel's own tile geometry
+  (``_tile_shape``);
 * the client path (``params_from_seeds``, ``_premix``,
   ``hash_elementwise`` and OLH/BLH ``privatize`` on both its premix
   paths) against the previous out-of-place formulas;
@@ -197,8 +198,9 @@ class TestSegmentedKernelIdentity:
     )
     @settings(max_examples=6, deadline=None)
     def test_segment_rows_match_reference(self, g, seed, cuts, d, single):
-        # 3,500 reports at d = 64 sweep four 1,024-report tiles, so
-        # random cuts land inside tiles and segments cross tile edges.
+        # 3,500 reports are one tile row (two candidate blocks at
+        # d = 64), so random cuts land inside it; the row-edge tests
+        # below cut across rows.
         oracle = OptimalLocalHashing(d, 1.0, g=g)
         reports = oracle.privatize(
             np.random.default_rng(seed).integers(0, d, size=3500), rng=seed
@@ -211,12 +213,13 @@ class TestSegmentedKernelIdentity:
         )
 
     def test_one_report_segments_and_tile_edges(self):
-        oracle = OptimalLocalHashing(64, 2.0)  # 1,024 reports per tile
+        # One 3,100-report tile row in two candidate blocks (42 + 22).
+        oracle = OptimalLocalHashing(64, 2.0)
         reports = oracle.privatize(np.arange(3100) % 64, rng=4)
         cands = np.arange(64)
         for starts in (
             np.arange(3100),  # one report per segment
-            np.array([0, 1023, 1024, 1025, 2048, 3099]),  # on and off tile edges
+            np.array([0, 1023, 1024, 1025, 2048, 3099]),  # cuts inside the row
             np.array([0, 5, 3000]),  # segments spanning whole tiles
         ):
             assert np.array_equal(
@@ -559,66 +562,82 @@ def test_estimates_schedule_independent_for_systems(monkeypatch):
         assert np.array_equal(s, f)
 
 
-# -- tile edges derived from the kernel's tile size ------------------------
+# -- tile edges derived from the kernel's tile geometry --------------------
 
 
-def _tile_reports(d):
-    """Reports per tile of the fused kernel at ``d`` candidates."""
-    return FusedSupportKernel(np.arange(d, dtype=np.uint64), 2)._tile_reports
+def _row_edges(spans, d):
+    """Every tile-row start but the first, over the kernel's report spans."""
+    edges = [
+        r
+        for lo, hi in spans
+        for r in range(lo, hi, kernels._tile_shape(hi - lo, d)[0])
+    ]
+    return edges[1:]
+
+
+def _edge_cuts(edges, n):
+    """Segment starts on, one short of, one past and across the edges."""
+    return (
+        np.array([0, *edges]),  # segments on the edges
+        np.array([0, *[e - 1 for e in edges], n - 1]),  # one short of each
+        np.array([0, *[e + 1 for e in edges]]),  # one past each
+        np.array([0, *[e - 2 for e in edges[::2]]]),  # across every other
+        np.array([0, 1, n - 1]),  # one segment spans every edge
+    )
 
 
 @pytest.mark.parametrize("d", [64, 256])
 def test_segment_cuts_on_and_across_tile_edges(d):
-    """Cuts on, beside and across three tile edges of today's tile size."""
+    """Cuts on, beside and across three row edges of one span's tiles."""
     oracle = OptimalLocalHashing(d, 2.0)
-    tile = _tile_reports(d)
-    n = 3 * tile + tile // 2
+    row = kernels._MAX_TILE_REPORTS
+    n = 3 * row + row // 2
+    _, block = kernels._tile_shape(n, d)
+    assert block < d  # every row runs in several candidate blocks
+    edges = _row_edges([(0, n)], d)
+    assert edges == [row, 2 * row, 3 * row]
     reports = oracle.privatize(
         np.random.default_rng(d).integers(0, d, size=n), rng=d + 1
     )
     cands = np.arange(d)
-    edges = [tile, 2 * tile, 3 * tile]
-    for starts in (
-        np.array([0, *edges]),  # segments on the edges
-        np.array([0, *[e - 1 for e in edges], n - 1]),  # one short of each
-        np.array([0, *[e + 1 for e in edges]]),  # one past each
-        np.array([0, tile // 2, tile + tile // 2, 3 * tile + 1]),  # across
-        np.array([0, 1, n - 1]),  # one segment spans every edge
-    ):
+    kernel = FusedSupportKernel(_premix(cands.astype(np.uint64)), oracle.g, threads=1)
+    a, b = params_from_seeds(reports.seeds)
+    for starts in _edge_cuts(edges, n):
         assert np.array_equal(
-            oracle.segment_support_counts(reports, cands, starts),
+            kernel.segment_counts(a, b, reports.values, starts),
             _segment_reference(oracle, reports, cands, starts),
         )
     assert np.array_equal(
-        oracle.support_counts_for(reports, cands),
+        kernel.support_counts(a, b, reports.values),
         oracle._reference_support_counts_for(reports, cands),
     )
 
 
 @pytest.mark.parametrize("d", [64, 256])
 def test_pool_path_across_tile_edges_at_two_threads(d):
-    """The pooled path at ``threads=2``, with cuts beside tile edges."""
+    """The pooled path at ``threads=2``: cuts on, beside and across the
+    row edges of both report spans, and where the spans meet."""
     oracle = OptimalLocalHashing(d, 2.0)
-    tile = _tile_reports(d)
-    # Past the inline threshold, and long enough for two report spans.
+    # Past the inline threshold, and two spans of more than two rows.
     n = max(
-        4 * tile,
+        4 * kernels._MAX_TILE_REPORTS,
         -(-kernels._MIN_PARALLEL_CELLS // d),
-        2 * kernels._MAX_TILE_REPORTS,
     ) + 3
-    assert len(FusedSupportKernel._report_spans(n, 2)) == 2
+    spans = FusedSupportKernel._report_spans(n, 2)
+    assert len(spans) == 2
+    edges = _row_edges(spans, d)
+    assert spans[1][0] in edges and len(edges) == 5
     reports = oracle.privatize(
         np.random.default_rng(d + 2).integers(0, d, size=n), rng=d + 3
     )
     cands = np.arange(d)
     kernel = FusedSupportKernel(_premix(cands.astype(np.uint64)), oracle.g, threads=2)
     a, b = params_from_seeds(reports.seeds)
-    half = n // 2  # the two spans meet here
-    starts = np.array([0, tile - 1, tile, 2 * tile + 1, half, half + 1, n - tile])
-    assert np.array_equal(
-        kernel.segment_counts(a, b, reports.values, starts),
-        _segment_reference(oracle, reports, cands, starts),
-    )
+    for starts in _edge_cuts(edges, n):
+        assert np.array_equal(
+            kernel.segment_counts(a, b, reports.values, starts),
+            _segment_reference(oracle, reports, cands, starts),
+        )
     assert np.array_equal(
         kernel.support_counts(a, b, reports.values),
         oracle._reference_support_counts_for(reports, cands),

@@ -21,7 +21,7 @@ _spec = importlib.util.spec_from_file_location("check_bench_regression", _SCRIPT
 guard = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(guard)
 
-TRACKED = guard.THROUGHPUT_KEYS | set(guard.LATENCY_KEYS)
+TRACKED = guard.THROUGHPUT_KEYS | set(guard.LATENCY_KEYS) | guard.ERROR_KEYS
 
 
 def _payload():
@@ -37,9 +37,13 @@ def _payload():
         "merge_ms": 5.0,
         "finalize_ms": 3.0,
         "recovery_s": 1.5,
+        "mean_abs_err": 150.0,
+        "mean_win_err": 75.0,
         "late": 0,
     }
-    idle = dict(busy, config="window 0", wall_s=0.0, users_per_s=0.0)
+    idle = dict(
+        busy, config="window 0", wall_s=0.0, users_per_s=0.0, mean_win_err=0.0
+    )
     return {
         "experiment": "E99",
         "users": 1000,
@@ -101,3 +105,40 @@ def test_a_dropped_row_or_tracked_column_is_a_schema_change(drop):
     _, violations, _, _ = _compare(fresh, baseline)
     assert violations
     assert all(f is None for _, _, f, _ in violations)
+
+
+@pytest.mark.parametrize("column", sorted(guard.ERROR_KEYS))
+def test_an_error_cell_fails_only_above_its_band(column):
+    baseline = _payload()
+    base = baseline["rows"][0][column]
+    for factor, fails in (
+        (guard.ERROR_TOLERANCE * 1.01, True),  # worse than the band
+        (guard.ERROR_TOLERANCE, False),
+        (1.0, False),  # equal
+        (0.1, False),  # lower error always passes
+    ):
+        fresh = copy.deepcopy(baseline)
+        fresh["rows"][0][column] = base * factor
+        # A slower machine widens the speed band, never the error band.
+        fresh["machine_score"] = 4 * baseline["machine_score"]
+        _, violations, _, _ = _compare(fresh, baseline)
+        assert [path for path, *_ in violations] == (
+            [f"$.rows[0].{column}"] if fails else []
+        ), factor
+
+
+def test_a_zero_error_baseline_admits_only_zero():
+    baseline = _payload()
+    fresh = copy.deepcopy(baseline)
+    fresh["rows"][1]["mean_win_err"] = 1e-9
+    _, violations, _, _ = _compare(fresh, baseline)
+    assert [path for path, *_ in violations] == ["$.rows[1].mean_win_err"]
+
+
+@pytest.mark.parametrize("column", sorted(guard.ERROR_KEYS))
+def test_a_missing_error_cell_is_a_schema_change(column):
+    baseline = _payload()
+    fresh = copy.deepcopy(baseline)
+    del fresh["rows"][0][column]
+    _, violations, _, _ = _compare(fresh, baseline)
+    assert violations == [(f"$.rows[0].{column}", "missing", None, None)]

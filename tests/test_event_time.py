@@ -402,8 +402,10 @@ class TestWatermark:
     @pytest.mark.parametrize("path", ["collector", "service"])
     def test_pane_index_limit_is_shared(self, path, sign):
         # The collector and the service map timestamps to panes through
-        # the same WindowSpec.pane_index: a pane index of exactly ±2^62
-        # is refused on both paths, the largest float below it accepted.
+        # the same WindowSpec.pane_index.  At span 1, pane index
+        # ±(2^50 − 1) is the first whose bounds lie within 4 ulps of
+        # each other: refused on both paths, as is ±2^62, while the
+        # index just below it is accepted and its bounds hold the time.
         from repro.protocol import ShardFolder
 
         oracle = make_oracle("DE", 4, 1.0)
@@ -418,9 +420,14 @@ class TestWatermark:
             else:
                 ShardFolder(oracle, worker_id=0, window=spec).offer("e0", batch)
 
-        with pytest.raises(ValueError, match="pane index"):
-            offer(sign * 2.0**62)
-        offer(sign * np.nextafter(2.0**62, 0.0))
+        first_refused = 2.0**50 - 1
+        for ts in (sign * 2.0**62, sign * first_refused):
+            with pytest.raises(ValueError, match="pane index"):
+                offer(ts)
+        accepted = sign * (first_refused - 1)
+        offer(accepted)
+        lo, hi = spec.pane_bounds(int(spec.pane_index(np.array([accepted]))[0]))
+        assert lo <= accepted < hi
 
     def test_nan_timestamps_rejected_without_phantom_charges(self):
         oracle = make_oracle("OLH", 8, 1.0)

@@ -94,17 +94,19 @@ def _fold(h):
 
 
 class TestFusedSupportKernel:
-    # odd, power-of-two, even non-power-of-two, and the largest range
-    @pytest.mark.parametrize("g", [2, 3, 6, 8, 17, 56, 2**31 - 1])
+    # odd, power-of-two (both ends of the mask path among them), even
+    # non-power-of-two, and the largest range
+    @pytest.mark.parametrize("g", [1, 2, 3, 6, 8, 17, 56, 2**30, 2**31 - 1])
     @pytest.mark.parametrize("d", [1, 3, 64])
-    def test_matches_brute_force(self, g, d):
+    # one short row, and two full 16,384-report rows plus a short tail
+    @pytest.mark.parametrize("n", [700, 40_000])
+    def test_matches_brute_force(self, g, d, n):
         rng = np.random.default_rng(d * 100 + g)
-        n = 700
         a = rng.integers(1, P, size=n).astype(np.uint64)
         b = rng.integers(0, P, size=n).astype(np.uint64)
         y = rng.integers(0, g, size=n).astype(np.uint64)
         premixed = rng.integers(0, P, size=d).astype(np.uint64)
-        kernel = FusedSupportKernel(premixed, g)
+        kernel = FusedSupportKernel(premixed, g, threads=1)
         out = kernel.support_counts(a, b, y)
         assert out.dtype == np.float64
         assert np.array_equal(out, _brute_support_counts(a, b, y, premixed, g))
