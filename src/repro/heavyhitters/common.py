@@ -8,21 +8,28 @@ the full ε), and drive a frequency oracle in candidate-restricted mode.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core.local_hashing import OptimalLocalHashing
 from repro.core.mechanism import PureAccumulator, PureFrequencyOracle
+from repro.util.client import _chunks
 from repro.util.rng import ensure_generator
 from repro.util.validation import check_epsilon, check_positive_int
 
 __all__ = [
     "HeavyHitterResult",
     "collect_group",
+    "group_jobs",
     "split_groups",
     "make_group_oracle",
 ]
+
+#: Users privatized at once in a group's round: the memory bound.
+GROUP_CHUNK_SIZE = 65_536
 
 
 @dataclass(frozen=True)
@@ -69,19 +76,49 @@ def make_group_oracle(domain_size: int, epsilon: float) -> OptimalLocalHashing:
     return OptimalLocalHashing(domain_size, epsilon)
 
 
+def group_jobs(
+    oracles: Sequence[PureFrequencyOracle],
+    group_values: Callable[[int], np.ndarray],
+    groups: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[list[Callable[[], object]], list[int]]:
+    """Every group's privatize jobs in group order, and its chunk counts.
+
+    Group ``j``'s users run ``oracles[j]`` over ``group_values(j)`` in
+    chunks of at most ``GROUP_CHUNK_SIZE``, all drawing from ``rng``.
+    Each job privatizes its group's next chunk, and a group's first job
+    also makes the group's values (its split and prefix shift), so a
+    client thread running the jobs
+    (:func:`~repro.util.client._privatize_ahead`) does that work as
+    well.  ``groups`` holds every user's group, which sets each group's
+    chunk count; a group's values live until its last chunk is
+    privatized.
+    """
+    sizes = np.bincount(groups, minlength=len(oracles)).tolist()
+    counts = [-(-size // GROUP_CHUNK_SIZE) for size in sizes]
+
+    def privatize_group(j: int):
+        chunks = _chunks(group_values(j), GROUP_CHUNK_SIZE)
+        while chunks:
+            yield oracles[j].privatize(chunks.pop(0), rng=rng)
+
+    jobs = []
+    for j, count in enumerate(counts):
+        jobs += [partial(next, privatize_group(j))] * count
+    return jobs, counts
+
+
 def collect_group(
     oracle: PureFrequencyOracle,
-    values: np.ndarray,
+    reports: Iterable[object],
     candidates: np.ndarray | None,
-    rng: np.random.Generator,
-    *,
-    chunk_size: int = 65_536,
 ) -> PureAccumulator:
-    """Privatize one user group into a (candidate-restricted) accumulator.
+    """Fold one group's privatized report chunks into an accumulator.
 
-    Clients are encoded in bounded-memory chunks and folded straight into
-    the group's accumulator, so raw report batches never outlive their
-    chunk — the same pipeline shape as
+    ``reports`` yields the group's report batches in chunk order — from
+    the client pipeline (PEM, Bitstogram) or privatized inline
+    (TreeHist) — and each is dropped once absorbed, so raw report
+    batches never outlive their chunk: the same shape as
     :func:`repro.protocol.run_sharded_collection`, restricted to the
     candidate list the round actually scores.
 
@@ -91,8 +128,8 @@ def collect_group(
     :data:`~repro.util.kernels.kernel_plan_cache` — chunk count no
     longer multiplies the candidate-side setup cost.
     """
-    check_positive_int(chunk_size, name="chunk_size")
     acc = oracle.accumulator(candidates)
-    for start in range(0, values.shape[0], chunk_size):
-        acc.absorb(oracle.privatize(values[start : start + chunk_size], rng=rng))
+    for batch in reports:
+        acc.absorb(batch)
+        del batch
     return acc

@@ -19,14 +19,18 @@ which is the trade experiment E7 measures.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from repro.heavyhitters.common import (
     HeavyHitterResult,
     collect_group,
+    group_jobs,
     make_group_oracle,
     split_groups,
 )
+from repro.util.client import _privatize_ahead
 from repro.util.rng import ensure_generator
 from repro.util.validation import check_epsilon, check_positive_int
 
@@ -84,26 +88,32 @@ def pem_heavy_hitters(
     num_groups = len(lengths)
     groups = split_groups(vals.shape[0], num_groups, gen)
     beam = beam_factor * k
+    oracles = [make_group_oracle(max(1 << length, 2), epsilon) for length in lengths]
+    # Each group's split, prefix shift and privatize run on the client
+    # thread, one chunk ahead of this thread's decode: no group's
+    # reports depend on an earlier round's candidates.
+    jobs, chunks = group_jobs(
+        oracles, lambda j: vals[groups == j] >> (bits - lengths[j]), groups, gen
+    )
 
     candidates = np.arange(1 << initial_bits, dtype=np.int64)
     evaluated = 0
     counts = np.zeros(0)
-    for round_idx, length in enumerate(lengths):
-        if round_idx > 0:
-            extension = lengths[round_idx] - lengths[round_idx - 1]
-            suffixes = np.arange(1 << extension, dtype=np.int64)
-            candidates = (
-                (candidates[:, None] << extension) | suffixes[None, :]
-            ).reshape(-1)
-        members = groups == round_idx
-        group_vals = vals[members] >> (bits - length)
-        oracle = make_group_oracle(max(1 << length, 2), epsilon)
-        est = collect_group(oracle, group_vals, candidates, gen).finalize()
-        evaluated += candidates.shape[0]
-        keep = min(beam if round_idx < num_groups - 1 else k, candidates.shape[0])
-        order = np.argsort(-est)[:keep]
-        candidates = candidates[order]
-        counts = est[order] * num_groups  # scale group count to population
+    with _privatize_ahead(jobs) as reports:
+        for round_idx, oracle in enumerate(oracles):
+            if round_idx > 0:
+                extension = lengths[round_idx] - lengths[round_idx - 1]
+                suffixes = np.arange(1 << extension, dtype=np.int64)
+                candidates = (
+                    (candidates[:, None] << extension) | suffixes[None, :]
+                ).reshape(-1)
+            group = islice(reports, chunks[round_idx])
+            est = collect_group(oracle, group, candidates).finalize()
+            evaluated += candidates.shape[0]
+            keep = min(beam if round_idx < num_groups - 1 else k, candidates.shape[0])
+            order = np.argsort(-est)[:keep]
+            candidates = candidates[order]
+            counts = est[order] * num_groups  # scale group count to population
 
     items = [int(v) for v in candidates]
     return HeavyHitterResult(

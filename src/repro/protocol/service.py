@@ -72,7 +72,7 @@ from repro.core.timed import (
     split_by_key,
 )
 from repro.protocol.chaos import FaultPlan, FrameFilter, WorkerFault, chaos_unit
-from repro.protocol.simulation import _chunks, _plan_shards
+from repro.protocol.simulation import _plan_shards
 from repro.protocol.streaming import WindowSpec
 from repro.protocol.transport import (
     CheckpointError,
@@ -83,6 +83,7 @@ from repro.protocol.transport import (
     unpack_timed_reports,
     write_message,
 )
+from repro.util.client import _chunks
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -1970,7 +1971,10 @@ class IngestDaemon:
         finally:
             if pending_read is not None:
                 pending_read.cancel()
-                with contextlib.suppress(Exception):
+                # This handler cancelled the read, so its CancelledError
+                # (a BaseException) is expected: suppressed, it cannot
+                # skip the leave and the close that end the connection.
+                with contextlib.suppress(Exception, asyncio.CancelledError):
                     await pending_read
             self._tracker.leave(writer)
             await _close_writer(writer)

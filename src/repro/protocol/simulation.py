@@ -22,8 +22,9 @@ Two collection shapes are offered:
 Shards can be collected on two executor backends:
 
 * ``"serial"`` — in the calling thread, one shard after another, with
-  one client thread per shard privatizing the next chunk while the
-  calling thread absorbs the current one (two chunks in flight);
+  one client thread privatizing the round's next chunk (of this shard
+  or the next) while the calling thread absorbs the current one (two
+  chunks in flight, :func:`~repro.util.client._privatize_ahead`);
 * ``"thread"`` — a thread pool (NumPy kernels release the GIL for most
   of the work, so encode scales).
 
@@ -41,14 +42,17 @@ population handling, sharding and bookkeeping.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from repro.core.budget import PrivacyLedger
 from repro.core.mechanism import FrequencyOracle, HashedReports, IndexedBitReports
+from repro.util.client import _chunks, _privatize_ahead
 from repro.util.kernels import kernel_timing_scope
 from repro.util.rng import ensure_generator
 from repro.util.validation import check_positive_int
@@ -88,9 +92,9 @@ class ShardStats:
 
     ``encode_seconds``/``decode_seconds`` sum, over the shard's chunks,
     the wall time of each ``privatize`` and each ``absorb``.  On the
-    serial backend a client thread privatizes (and times) the next chunk
-    while the shard absorbs the current one, so the two overlap and
-    their sum can exceed the shard's wall time.
+    serial backend a client thread privatizes (and times) the round's
+    next chunk while the shard absorbs the current one, so the two
+    overlap and their sum can exceed the shard's wall time.
 
     ``decode_hash_seconds``/``decode_accumulate_seconds`` split the
     decode-kernel compute between hashing (affine evaluation + modular
@@ -277,67 +281,48 @@ def _plan_shards(
     return ledger, list(zip(split(vals), shard_ts, gens))
 
 
-def _chunks(shard: np.ndarray, chunk_size: int) -> list[np.ndarray]:
-    """``shard`` cut, in order, into chunks of at most ``chunk_size``."""
-    return [
-        shard[start : start + chunk_size]
-        for start in range(0, shard.shape[0], chunk_size)
-    ]
+def _privatize_chunk(
+    oracle: FrequencyOracle, chunk: np.ndarray, gen: np.random.Generator
+) -> tuple[object, float, float]:
+    """One chunk's reports, the seconds ``privatize`` took and bytes per report."""
+    t0 = time.perf_counter()
+    reports = oracle.privatize(chunk, rng=gen)
+    seconds = time.perf_counter() - t0
+    return reports, seconds, report_bytes(reports, int(chunk.shape[0]))
 
 
 def _collect_shard(
     oracle: FrequencyOracle,
     shard_index: int,
-    shard_values: np.ndarray,
-    chunk_size: int,
-    gen: np.random.Generator,
-    client_ahead: bool = False,
+    num_users: int,
+    batches: Iterator[tuple[object, float, float]],
 ):
-    """Privatize one shard in bounded-memory chunks into an accumulator.
+    """Fold one shard's privatized chunks into a fresh accumulator.
 
-    With ``client_ahead`` (the serial backend) and at least two chunks,
-    one client thread privatizes chunk ``i + 1`` while this thread
-    absorbs chunk ``i``, so decode and privatization share the cores and
-    at most two chunks' reports are alive at once.  Only the client
-    thread draws from ``gen``, in chunk order, so every report batch is
-    the one the inline loop makes.  A one-chunk shard privatizes inline.
-    An error in either thread propagates once the client has stopped.
+    ``batches`` yields each chunk's ``_privatize_chunk`` result in chunk
+    order: on the serial backend it is the shard's share of the round's
+    one client pipeline (:func:`~repro.util.client._privatize_ahead`,
+    which privatizes the next chunk, of this shard or the next, while
+    this thread absorbs the current one); on the thread backend it
+    privatizes each chunk inline.  Each chunk's reports are dropped once
+    absorbed, so the accumulator is the only state that survives.
     """
     acc = oracle.accumulator()
-    chunks = _chunks(shard_values, chunk_size)
-
-    def privatize(chunk):
-        t0 = time.perf_counter()
-        reports = oracle.privatize(chunk, rng=gen)
-        return reports, time.perf_counter() - t0
-
     encode = decode = 0.0
     bytes_per_report = 0.0
-    with ExitStack() as stack:
-        kernel_timing = stack.enter_context(kernel_timing_scope())
-        client = None
-        if client_ahead and len(chunks) > 1:
-            client = stack.enter_context(
-                ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-client")
-            )
-            ahead = client.submit(privatize, chunks[0])
-        for i, chunk in enumerate(chunks):
-            if client is None:
-                reports, seconds = privatize(chunk)
-            else:
-                reports, seconds = ahead.result()
-                if i + 1 < len(chunks):
-                    ahead = client.submit(privatize, chunks[i + 1])
+    num_chunks = 0
+    with kernel_timing_scope() as kernel_timing:
+        for reports, seconds, bytes_per_report in batches:
             t0 = time.perf_counter()
             acc.absorb(reports)
             decode += time.perf_counter() - t0
             encode += seconds
-            bytes_per_report = report_bytes(reports, int(chunk.shape[0]))
-            del reports  # the accumulator is the only state that survives
+            num_chunks += 1
+            del reports
     stats = ShardStats(
         shard_index=shard_index,
-        num_users=int(shard_values.shape[0]),
-        num_chunks=len(chunks),
+        num_users=num_users,
+        num_chunks=num_chunks,
         encode_seconds=encode,
         decode_seconds=decode,
         bytes_per_report=bytes_per_report,
@@ -375,11 +360,12 @@ def run_sharded_collection(
     privatizes its clients in chunks of at most ``chunk_size``, folding
     every chunk's reports into the shard's accumulator and discarding
     them — the whole report batch is never materialized.  On the serial
-    backend one client thread privatizes chunk ``i + 1`` while the
-    calling thread absorbs chunk ``i``, so privatization and decode
-    share the cores and at most two chunks' reports are alive; a shard
-    of one chunk privatizes inline.  The thread backend already
-    overlaps shards, and privatizes inline.  Shard
+    backend one client thread privatizes the round's chunks in order,
+    every shard's as one list, one chunk ahead of the calling thread's
+    absorb, so privatization and decode share the cores, at most two
+    chunks' reports are alive and the pipeline runs on across shard
+    boundaries; a round of one chunk privatizes inline.  The thread
+    backend already overlaps shards, and privatizes inline.  Shard
     accumulators are then merged *into a fresh accumulator* in shard
     order and finalized once; no shard's state is mutated by the merge,
     so per-shard accumulators (and anything derived from them) remain
@@ -437,20 +423,32 @@ def run_sharded_collection(
         ledger=ledger,
     )
     pool_size = min(workers if workers is not None else num_shards, num_shards)
+    shard_jobs = [
+        [
+            partial(_privatize_chunk, oracle, chunk, gen)
+            for chunk in _chunks(shard_values, chunk_size)
+        ]
+        for shard_values, _, gen in shards
+    ]
 
-    def collect(index: int):
-        shard_values, _, gen = shards[index]
-        return _collect_shard(
-            oracle, index, shard_values, chunk_size, gen,
-            client_ahead=chosen == "serial",
-        )
+    def collect(index: int, batches: Iterator[tuple[object, float, float]]):
+        return _collect_shard(oracle, index, shards[index][0].shape[0], batches)
+
+    def collect_inline(index: int):
+        return collect(index, (job() for job in shard_jobs[index]))
 
     t_start = time.perf_counter()
-    if chosen == "thread" and pool_size > 1:
+    if chosen == "serial":
+        with _privatize_ahead([job for jobs in shard_jobs for job in jobs]) as batches:
+            outcomes = [
+                collect(index, islice(batches, len(jobs)))
+                for index, jobs in enumerate(shard_jobs)
+            ]
+    elif pool_size > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(collect, range(num_shards)))
+            outcomes = list(pool.map(collect_inline, range(num_shards)))
     else:
-        outcomes = [collect(index) for index in range(num_shards)]
+        outcomes = [collect_inline(index) for index in range(num_shards)]
 
     t_merge = time.perf_counter()
     merged = oracle.accumulator()

@@ -47,8 +47,9 @@ This module replaces both:
   per-thread scratch (~2.1 MB; the size is set by how often two pool
   threads must re-take the GIL, see ``_TILE_CELLS``).  Tiles are shaped
   per call from the report span: rows of ``min(span, 2¹⁴)`` reports,
-  because NumPy's broadcast passes pay a fixed cost per row, and as
-  many candidates as the cell budget allows (``_tile_shape``).  It
+  because NumPy's broadcast passes pay a fixed cost per row, and each
+  row as many candidates as the cell budget allows at its own width
+  (``_tile_shape``), so a span's short tail row runs in wide blocks.  It
   counts matches through a uint8 view into uint16 tile sums and adds
   them straight into int64 counts — the ``(n, d)`` matrix is never
   materialized.  Counts are ``(k, d)`` rows, one per key segment of a
@@ -82,12 +83,13 @@ property suite pins this for every registered oracle.
 Kernel plans and caching
 ------------------------
 Streaming consumers (``EventTimeCollector`` panes, ``RepeatedCollector``
-rounds, ``collect_group`` chunks) decode many small report batches
-against the *same* candidate set.  The candidate-side setup — premixed
-candidates + the match-test constants for local hashing, packed
-candidate bit masks for Hadamard — is captured in reusable *plans*
-(:class:`FusedSupportKernel`, :class:`HadamardCandidatePlan`) and cached
-in the process-wide :data:`kernel_plan_cache`, keyed by the oracle's
+rounds, a heavy-hitter group's chunks folded by ``collect_group``)
+decode many small report batches against the *same* candidate set.  The
+candidate-side setup — premixed candidates + the match-test constants
+for local hashing, packed candidate bit masks for Hadamard — is
+captured in reusable *plans* (:class:`FusedSupportKernel`,
+:class:`HadamardCandidatePlan`) and cached in the process-wide
+:data:`kernel_plan_cache`, keyed by the oracle's
 config fingerprint plus :func:`candidate_digest`.  Plans are immutable
 (their arrays are marked read-only) and hold **no per-batch scratch** —
 scratch lives in a per-thread pool below — so cache entries are safe to
@@ -501,7 +503,9 @@ def _tile_shape(span: int, d: int) -> tuple[int, int]:
     Rows run ``min(span, _MAX_TILE_REPORTS)`` reports wide and take as
     many of the ``d`` candidates as ``_TILE_CELLS`` cells allow: NumPy's
     broadcast passes pay a fixed cost per row, so long rows beat many
-    candidates.  A span shorter than one row is one row of ``span``.
+    candidates.  A span shorter than one row is one row of ``span``, so
+    ``_tile_shape(w, d)[1]`` is the candidate block of a row ``w`` wide:
+    a span's tail row takes its block from its own width.
     """
     rows = min(span, _MAX_TILE_REPORTS)
     return rows, max(1, min(d, _TILE_CELLS // rows))
@@ -712,7 +716,11 @@ class FusedSupportKernel:
         d = x.shape[0]
         mask = self._mask
         tile_r, tile_c = _tile_shape(hi - lo, d)
-        cells = tile_c * tile_r
+        # Each row takes its candidate block from its own width, so a
+        # short tail row runs in wide blocks.  No row's tile outgrows the
+        # first row's, which fills ``_TILE_CELLS`` whenever a tail can
+        # follow it (``_MAX_TILE_REPORTS`` divides it) or holds all d.
+        cells = tile_r * tile_c
         product = _scratch("product", np.uint64, cells)
         residue = _scratch("residue", np.uint32, cells)
         spare = _scratch("spare", np.uint32, cells)
@@ -737,6 +745,7 @@ class FusedSupportKernel:
         for t, r0 in enumerate(range(lo, hi, tile_r)):
             r1 = min(r0 + tile_r, hi)
             w = r1 - r0
+            tile_c = _tile_shape(w, d)[1]
             ar = a[None, r0:r1]
             br = b[None, r0:r1]
             kr = key[None, r0 - lo : r1 - lo]

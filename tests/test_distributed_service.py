@@ -598,6 +598,60 @@ def test_restarted_daemon_resumes_at_the_recorded_frontier():
     assert (core.absorbed, core.late) == (4, 1)
 
 
+def test_refused_batch_closes_its_connection():
+    # A batch the folder refuses (a report value equal to g) ends its
+    # handler: the handler must still close the connection, so a client
+    # at the default ack_timeout sees the link die, retries and gives up
+    # instead of waiting for acks forever.
+    import asyncio
+    import time
+
+    from repro.core import HashedReports
+    from repro.protocol import (
+        CombinerDaemon,
+        IngestDaemon,
+        RetryPolicy,
+        feed_envelopes,
+    )
+
+    oracle = make_oracle("OLH", 10, 1.5)
+    values = np.arange(50) % 10
+    good = oracle.privatize(values, rng=1)
+    bad_values = oracle.privatize(values, rng=2).values.copy()
+    bad_values[7] = oracle.g
+    bad = HashedReports(oracle.privatize(values, rng=2).seeds, bad_values)
+    envelopes = [
+        ("good-0", good),
+        ("bad", bad),
+        ("good-1", oracle.privatize(values, rng=3)),
+    ]
+
+    async def main():
+        combiner = CombinerDaemon(oracle, 1)
+        await combiner.start()
+        daemon = IngestDaemon(oracle, 0, combiner.address)
+        try:
+            await daemon.start()
+            started = time.monotonic()
+            with pytest.raises(
+                ServiceError, match="consecutive connection failures"
+            ):
+                await asyncio.wait_for(
+                    feed_envelopes(
+                        daemon.address,
+                        envelopes,
+                        retry=RetryPolicy(attempts=2, base_delay=0.01),
+                    ),
+                    30,
+                )
+            return time.monotonic() - started
+        finally:
+            await daemon.close()
+            await combiner.close()
+
+    assert asyncio.run(main()) < 10.0
+
+
 def test_combiner_result_requires_full_drain():
     oracle = make_oracle("DE", 4, 1.0)
     core = CombinerCore(oracle, num_workers=2)

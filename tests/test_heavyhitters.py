@@ -1,8 +1,13 @@
 """Tests for the three heavy-hitter protocols."""
 
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core import OptimalLocalHashing
 from repro.eval import topk_f1
 from repro.heavyhitters import (
     HeavyHitterResult,
@@ -129,3 +134,82 @@ class TestCommon:
         weak = pem_heavy_hitters(values, BITS, 0.5, k=8, rng=47)
         strong = pem_heavy_hitters(values, BITS, 4.0, k=8, rng=47)
         assert topk_f1(top8, set(strong.items)) >= topk_f1(top8, set(weak.items))
+
+
+class _PrivatizeSpy:
+    """Wraps ``OptimalLocalHashing.privatize``: records each call's thread
+    and how many of the calls' report batches are still alive, and raises
+    on the ``fail_at``-th call."""
+
+    def __init__(self, monkeypatch, fail_at=None):
+        self.fail_at = fail_at
+        self.threads = []
+        self.alive = []
+        self._batches = []
+        original = OptimalLocalHashing.privatize
+
+        def privatize(oracle, values, rng=None):
+            if len(self.threads) + 1 == self.fail_at:
+                self.threads.append(threading.get_ident())
+                raise RuntimeError(f"client failed on call {self.fail_at}")
+            reports = original(oracle, values, rng=rng)
+            self._batches.append(weakref.ref(reports))
+            self.alive.append(sum(ref() is not None for ref in self._batches))
+            self.threads.append(threading.get_ident())
+            return reports
+
+        monkeypatch.setattr(OptimalLocalHashing, "privatize", privatize)
+
+
+def _client_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-client")]
+
+
+#: PEM over 12 bits runs five groups, Bitstogram over 4 bits five.
+_PIPELINED = {
+    "pem": lambda values, rng: pem_heavy_hitters(values, 12, 2.0, k=4, rng=rng),
+    "bitstogram": lambda values, rng: bitstogram_heavy_hitters(
+        values % 16, 4, 2.0, k=4, rng=rng
+    ),
+}
+
+
+class TestClientPipeline:
+    """PEM and Bitstogram privatize their groups on one client thread."""
+
+    @pytest.mark.parametrize("name", sorted(_PIPELINED))
+    def test_error_in_the_third_group_stops_the_client(
+        self, name, heavy_population, monkeypatch
+    ):
+        values, _, _ = heavy_population
+        spy = _PrivatizeSpy(monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="call 3"):
+            _PIPELINED[name](values[:5000], 7)
+        assert len(spy.threads) == 3  # no group after the failure started
+        assert _client_threads() == []
+
+    @pytest.mark.parametrize("name", sorted(_PIPELINED))
+    def test_groups_run_on_one_client_thread(
+        self, name, heavy_population, monkeypatch
+    ):
+        values, _, _ = heavy_population
+        expected = _PIPELINED[name](values, 9)
+        spy = _PrivatizeSpy(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            result = _PIPELINED[name](values, 9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result == expected
+        assert len(spy.threads) == 5
+        assert len(set(spy.threads)) == 1
+        assert threading.get_ident() not in spy.threads
+        assert max(spy.alive) <= 2
+        assert _client_threads() == []
+
+    def test_treehist_privatizes_inline(self, heavy_population, monkeypatch):
+        values, _, _ = heavy_population
+        spy = _PrivatizeSpy(monkeypatch)
+        treehist_heavy_hitters(values, BITS, 2.0, initial_bits=8, rng=5)
+        assert spy.threads == [threading.get_ident()] * (BITS - 8 + 1)

@@ -278,17 +278,22 @@ class TestReportBytes:
 
 
 class _FailingOLH(OptimalLocalHashing):
-    """OLH whose ``privatize`` raises on its third call."""
+    """OLH whose ``privatize`` raises on its ``fail_at``-th call."""
 
-    def __init__(self, domain_size, epsilon):
+    def __init__(self, domain_size, epsilon, fail_at=3):
         super().__init__(domain_size, epsilon)
         self.calls = 0
+        self.fail_at = fail_at
 
     def privatize(self, values, rng=None):
         self.calls += 1
-        if self.calls == 3:
-            raise RuntimeError("client failed on chunk 3")
+        if self.calls == self.fail_at:
+            raise RuntimeError(f"client failed on chunk {self.fail_at}")
         return super().privatize(values, rng=rng)
+
+
+def _client_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-client")]
 
 
 class _AliveTrackingOLH(OptimalLocalHashing):
@@ -299,12 +304,15 @@ class _AliveTrackingOLH(OptimalLocalHashing):
         self.batches = []
         self.alive = []
         self.threads = []
+        # Thread objects, not idents: a later thread may reuse an ident.
+        self.workers = []
 
     def privatize(self, values, rng=None):
         reports = super().privatize(values, rng=rng)
         self.batches.append(weakref.ref(reports))
         self.alive.append(sum(ref() is not None for ref in self.batches))
         self.threads.append(threading.get_ident())
+        self.workers.append(threading.current_thread())
         return reports
 
 
@@ -347,13 +355,50 @@ class TestClientAhead:
         )
         assert np.array_equal(stats.estimated_counts, threaded.estimated_counts)
 
+    def test_error_in_a_later_shard_stops_the_client(self):
+        """Shard 1's first chunk fails while shard 0's last one is absorbed."""
+        oracle = _FailingOLH(16, 1.0, fail_at=4)
+        values = np.arange(16).repeat(36)  # two shards of three chunks
+        with pytest.raises(RuntimeError, match="chunk 4"):
+            run_sharded_collection(
+                oracle, values, num_shards=2, chunk_size=96,
+                backend="serial", rng=2,
+            )
+        assert oracle.calls == 4
+        assert _client_threads() == []
+
     def test_one_chunk_shard_starts_no_thread(self):
         oracle = _AliveTrackingOLH(16, 1.0)
         values = np.arange(16).repeat(10)
         before = threading.active_count()
         stats = run_sharded_collection(
-            oracle, values, num_shards=2, chunk_size=1000, backend="serial", rng=6
+            oracle, values, num_shards=1, chunk_size=1000, backend="serial", rng=6
         )
-        assert [s.num_chunks for s in stats.shards] == [1, 1]
-        assert oracle.threads == [threading.get_ident()] * 2
+        assert [s.num_chunks for s in stats.shards] == [1]
+        assert oracle.threads == [threading.get_ident()]
         assert threading.active_count() == before
+
+    def test_shards_share_one_client_pipeline(self):
+        """Every shard's chunks run on one client thread, in round order."""
+        oracle = _AliveTrackingOLH(16, 1.0)
+        values = np.random.default_rng(6).integers(0, 16, size=500)
+        before = threading.active_count()
+        stats = run_sharded_collection(
+            oracle, values, num_shards=3, chunk_size=100, backend="serial", rng=7
+        )
+        assert [s.num_chunks for s in stats.shards] == [2, 2, 2]
+        assert len(set(oracle.workers)) == 1
+        assert threading.get_ident() not in oracle.threads
+        assert threading.active_count() == before
+        # Two one-chunk shards are a round of two chunks: the client runs it.
+        pair = _AliveTrackingOLH(16, 1.0)
+        run_sharded_collection(
+            pair, values[:160], num_shards=2, chunk_size=1000,
+            backend="serial", rng=6,
+        )
+        assert len(pair.threads) == 2 and threading.get_ident() not in pair.threads
+        threaded = run_sharded_collection(
+            OptimalLocalHashing(16, 1.0), values, num_shards=3, chunk_size=100,
+            backend="thread", workers=3, rng=7,
+        )
+        assert np.array_equal(stats.estimated_counts, threaded.estimated_counts)

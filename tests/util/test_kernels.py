@@ -111,6 +111,31 @@ class TestFusedSupportKernel:
         assert out.dtype == np.float64
         assert np.array_equal(out, _brute_support_counts(a, b, y, premixed, g))
 
+    @pytest.mark.parametrize("g", [6, 8])  # divisibility test, mask
+    def test_short_tail_row_takes_its_own_block(self, g):
+        """One span of a full row and a 1,092-report tail at d = 256.
+
+        The full row runs in blocks of 8 candidates, the tail row in
+        blocks of 120, 120 and 16 (its own ``_tile_shape``), all within
+        ``_TILE_CELLS``.
+        """
+        row, tail, d = kernels._MAX_TILE_REPORTS, 1_092, 256
+        n = row + tail
+        assert kernels._tile_shape(n, d) == (row, 8)
+        block = kernels._tile_shape(tail, d)[1]
+        assert block == 120 and block * tail <= kernels._TILE_CELLS
+        rng = np.random.default_rng(g)
+        a = rng.integers(1, P, size=n).astype(np.uint64)
+        b = rng.integers(0, P, size=n).astype(np.uint64)
+        y = rng.integers(0, g, size=n).astype(np.uint64)
+        premixed = rng.integers(0, P, size=d).astype(np.uint64)
+        out = FusedSupportKernel(premixed, g, threads=1).support_counts(a, b, y)
+        expected = np.concatenate([
+            _brute_support_counts(a, b, y, premixed[c : c + 32], g)
+            for c in range(0, d, 32)
+        ])
+        assert np.array_equal(out, expected)
+
     def test_edge_parameters(self):
         # a at field max, b at 0/max, premixed at 0 and p−1.  With
         # a = x = p − 1 the affine image (p − 1)² + b folds to p + 1
