@@ -80,16 +80,20 @@ from repro.util.rng import ensure_generator
 __all__ = ["run", "main"]
 
 
-def _time(fn, repeats: int = 1):
+def _time(fn, repeats: int = 1, *, warm: bool = False):
     """Run ``fn`` ``repeats`` times; return (result, best seconds).
 
-    The reference rows and the Hadamard row (whose plan build is part of
-    its cost) run once.  The fused OLH/BLH rows are warmed with one
-    untimed call, since a first call right after the reference pass pays
-    for cold caches, the tile pool and scratch, and keep the best of
-    three, as the sketch/Bloom rows do: those finish in milliseconds,
-    where first-touch allocation noise dominates a single sample.
+    With ``warm``, one untimed call runs first.  The OLH/BLH rows time
+    their reference and fused passes alike, warmed and best of three, so
+    ``speedup`` compares two warm paths: a first call pays for cold
+    caches, and the fused call for the tile pool and scratch as well.
+    The sketch/Bloom rows keep the best of three, since they finish in
+    milliseconds, where first-touch allocation noise dominates a single
+    sample.  The Hadamard row, whose plan build is part of its cost,
+    runs once.
     """
+    if warm:
+        fn()
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):
@@ -161,11 +165,12 @@ def run(
         reports = oracle.privatize(values, rng=gen)
         cands = np.arange(d, dtype=np.int64)
         ref, ref_s = _time(
-            lambda: oracle._reference_support_counts_for(reports, cands)
+            lambda: oracle._reference_support_counts_for(reports, cands),
+            repeats=3,
+            warm=True,
         )
-        oracle.support_counts_for(reports, cands)  # warm-up, untimed
         fused, fused_s = _time(
-            lambda: oracle.support_counts_for(reports, cands), repeats=3
+            lambda: oracle.support_counts_for(reports, cands), repeats=3, warm=True
         )
         table.add_row(
             "kernel",

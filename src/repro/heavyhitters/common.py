@@ -8,9 +8,8 @@ the full ε), and drive a frequency oracle in candidate-restricted mode.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -23,13 +22,12 @@ from repro.util.validation import check_epsilon, check_positive_int
 __all__ = [
     "HeavyHitterResult",
     "collect_group",
-    "group_jobs",
     "split_groups",
     "make_group_oracle",
 ]
 
 #: Users privatized at once in a group's round: the memory bound.
-GROUP_CHUNK_SIZE = 65_536
+_GROUP_CHUNK_SIZE = 65_536
 
 
 @dataclass(frozen=True)
@@ -76,36 +74,15 @@ def make_group_oracle(domain_size: int, epsilon: float) -> OptimalLocalHashing:
     return OptimalLocalHashing(domain_size, epsilon)
 
 
-def group_jobs(
-    oracles: Sequence[PureFrequencyOracle],
-    group_values: Callable[[int], np.ndarray],
-    groups: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[list[Callable[[], object]], list[int]]:
-    """Every group's privatize jobs in group order, and its chunk counts.
-
-    Group ``j``'s users run ``oracles[j]`` over ``group_values(j)`` in
-    chunks of at most ``GROUP_CHUNK_SIZE``, all drawing from ``rng``.
-    Each job privatizes its group's next chunk, and a group's first job
-    also makes the group's values (its split and prefix shift), so a
-    client thread running the jobs
-    (:func:`~repro.util.client._privatize_ahead`) does that work as
-    well.  ``groups`` holds every user's group, which sets each group's
-    chunk count; a group's values live until its last chunk is
-    privatized.
-    """
-    sizes = np.bincount(groups, minlength=len(oracles)).tolist()
-    counts = [-(-size // GROUP_CHUNK_SIZE) for size in sizes]
-
-    def privatize_group(j: int):
-        chunks = _chunks(group_values(j), GROUP_CHUNK_SIZE)
-        while chunks:
-            yield oracles[j].privatize(chunks.pop(0), rng=rng)
-
-    jobs = []
-    for j, count in enumerate(counts):
-        jobs += [partial(next, privatize_group(j))] * count
-    return jobs, counts
+def _privatized(
+    oracle: PureFrequencyOracle, values: np.ndarray, rng: np.random.Generator
+) -> Iterator[object]:
+    """``values`` privatized lazily, in order, in chunks of at most
+    ``_GROUP_CHUNK_SIZE`` users: one report batch per chunk."""
+    return (
+        oracle.privatize(chunk, rng=rng)
+        for chunk in _chunks(values, _GROUP_CHUNK_SIZE)
+    )
 
 
 def collect_group(
@@ -116,8 +93,8 @@ def collect_group(
     """Fold one group's privatized report chunks into an accumulator.
 
     ``reports`` yields the group's report batches in chunk order — from
-    the client pipeline (PEM, Bitstogram) or privatized inline
-    (TreeHist) — and each is dropped once absorbed, so raw report
+    the client pipeline (PEM) or privatized inline (TreeHist,
+    Bitstogram) — and each is dropped once absorbed, so raw report
     batches never outlive their chunk: the same shape as
     :func:`repro.protocol.run_sharded_collection`, restricted to the
     candidate list the round actually scores.

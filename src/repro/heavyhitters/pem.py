@@ -24,9 +24,10 @@ from itertools import islice
 import numpy as np
 
 from repro.heavyhitters.common import (
+    _GROUP_CHUNK_SIZE,
     HeavyHitterResult,
+    _privatized,
     collect_group,
-    group_jobs,
     make_group_oracle,
     split_groups,
 )
@@ -92,14 +93,18 @@ def pem_heavy_hitters(
     # Each group's split, prefix shift and privatize run on the client
     # thread, one chunk ahead of this thread's decode: no group's
     # reports depend on an earlier round's candidates.
-    jobs, chunks = group_jobs(
-        oracles, lambda j: vals[groups == j] >> (bits - lengths[j]), groups, gen
+    batches = (
+        batch
+        for j, (oracle, length) in enumerate(zip(oracles, lengths))
+        for batch in _privatized(oracle, vals[groups == j] >> (bits - length), gen)
     )
+    sizes = np.bincount(groups, minlength=num_groups)
+    chunks = (-(-sizes // _GROUP_CHUNK_SIZE)).tolist()
 
     candidates = np.arange(1 << initial_bits, dtype=np.int64)
     evaluated = 0
     counts = np.zeros(0)
-    with _privatize_ahead(jobs) as reports:
+    with _privatize_ahead(batches, sum(chunks)) as reports:
         for round_idx, oracle in enumerate(oracles):
             if round_idx > 0:
                 extension = lengths[round_idx] - lengths[round_idx - 1]

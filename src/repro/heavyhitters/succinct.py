@@ -21,18 +21,15 @@ One report per user at full ε: ε-LDP by parallel composition.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from repro.heavyhitters.common import (
     HeavyHitterResult,
+    _privatized,
     collect_group,
-    group_jobs,
     make_group_oracle,
     split_groups,
 )
-from repro.util.client import _privatize_ahead
 from repro.util.hashing import SeededHashFamily
 from repro.util.rng import derive_seed, ensure_generator
 from repro.util.validation import check_epsilon, check_positive_int
@@ -83,44 +80,37 @@ def bitstogram_heavy_hitters(
 
     num_groups = bits + 1  # one per bit + verification
     groups = split_groups(vals.shape[0], num_groups, gen)
+
+    # --- stage 1: per-bit channel votes ------------------------------------
     pair_domain = 2 * num_channels
-    oracles = [make_group_oracle(pair_domain, epsilon)] * bits
-    oracles.append(make_group_oracle(max(1 << bits, 2), epsilon))
-
-    def group_values(j: int) -> np.ndarray:
-        """Group ``j``'s (channel, bit ``j``) pairs, or the verify group's values."""
+    bit_votes = np.zeros((num_channels, bits))
+    evaluated = 0
+    for j in range(bits):
         members = groups == j
-        if j == bits:
-            return vals[members]
-        return channels[members] * 2 + ((vals[members] >> (bits - 1 - j)) & 1)
+        bit_j = (vals[members] >> (bits - 1 - j)) & 1
+        pair_vals = channels[members] * 2 + bit_j
+        oracle = make_group_oracle(pair_domain, epsilon)
+        reports = _privatized(oracle, pair_vals, gen)
+        est = collect_group(oracle, reports, None).finalize()
+        evaluated += pair_domain
+        # Vote: sign of (count of bit=1) − (count of bit=0) per channel.
+        bit_votes[:, j] = est[1::2] - est[0::2]
 
-    # Every group's split and privatize run on the client thread, one
-    # chunk ahead of this thread's decode: the verification group's
-    # reports do not depend on the candidates stage 2 assembles.
-    jobs, chunks = group_jobs(oracles, group_values, groups, gen)
-    with _privatize_ahead(jobs) as reports:
-        # --- stage 1: per-bit channel votes --------------------------------
-        bit_votes = np.zeros((num_channels, bits))
-        evaluated = 0
-        for j in range(bits):
-            group = islice(reports, chunks[j])
-            est = collect_group(oracles[j], group, None).finalize()
-            evaluated += pair_domain
-            # Vote: sign of (count of bit=1) − (count of bit=0) per channel.
-            bit_votes[:, j] = est[1::2] - est[0::2]
+    # --- stage 2: assemble one candidate per channel ------------------------
+    bits_matrix = (bit_votes > 0).astype(np.int64)
+    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
+    candidates = bits_matrix @ weights
+    candidates = np.unique(candidates)
 
-        # --- stage 2: assemble one candidate per channel --------------------
-        bits_matrix = (bit_votes > 0).astype(np.int64)
-        weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
-        candidates = bits_matrix @ weights
-        candidates = np.unique(candidates)
-
-        # --- stage 3: verify -------------------------------------------------
-        group = islice(reports, chunks[bits])
-        est = collect_group(oracles[bits], group, candidates).finalize()
+    # --- stage 3: verify -----------------------------------------------------
+    members = groups == bits
+    verify_vals = vals[members]
+    group_n = int(members.sum())
+    oracle = make_group_oracle(max(1 << bits, 2), epsilon)
+    reports = _privatized(oracle, verify_vals, gen)
+    est = collect_group(oracle, reports, candidates).finalize()
     evaluated += candidates.shape[0]
-    group_n = int(np.count_nonzero(groups == bits))
-    threshold = threshold_sds * np.sqrt(oracles[bits].count_variance(max(group_n, 1)))
+    threshold = threshold_sds * np.sqrt(oracle.count_variance(max(group_n, 1)))
     keep = est > threshold
     candidates, est = candidates[keep], est[keep]
     order = np.argsort(-est)[:k]

@@ -18,13 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.heavyhitters.common import (
-    GROUP_CHUNK_SIZE,
     HeavyHitterResult,
+    _privatized,
     collect_group,
     make_group_oracle,
     split_groups,
 )
-from repro.util.client import _chunks
 from repro.util.rng import ensure_generator
 from repro.util.validation import check_epsilon, check_positive_int
 
@@ -88,13 +87,10 @@ def treehist_heavy_hitters(
         group_vals = vals[members] >> (bits - length)
         group_n = int(members.sum())
         oracle = make_group_oracle(max(1 << length, 2), epsilon)
-        # Privatized inline, unlike PEM's and Bitstogram's groups: a job
-        # run ahead would draw from ``gen`` for a level the empty-frontier
-        # exit above never reaches.
-        reports = (
-            oracle.privatize(chunk, rng=gen)
-            for chunk in _chunks(group_vals, GROUP_CHUNK_SIZE)
-        )
+        # Privatized inline, unlike PEM's groups: a client running ahead
+        # would draw from ``gen`` for a level the empty-frontier exit
+        # above never reaches.
+        reports = _privatized(oracle, group_vals, gen)
         est = collect_group(oracle, reports, frontier).finalize()
         evaluated += frontier.shape[0]
         threshold = threshold_sds * np.sqrt(oracle.count_variance(max(group_n, 1)))

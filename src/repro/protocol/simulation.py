@@ -45,7 +45,6 @@ import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -423,26 +422,30 @@ def run_sharded_collection(
         ledger=ledger,
     )
     pool_size = min(workers if workers is not None else num_shards, num_shards)
-    shard_jobs = [
-        [
-            partial(_privatize_chunk, oracle, chunk, gen)
+
+    def privatized(planned):
+        """The chunks of the ``planned`` shards, privatized in order."""
+        return (
+            _privatize_chunk(oracle, chunk, gen)
+            for shard_values, _, gen in planned
             for chunk in _chunks(shard_values, chunk_size)
-        ]
-        for shard_values, _, gen in shards
-    ]
+        )
 
     def collect(index: int, batches: Iterator[tuple[object, float, float]]):
         return _collect_shard(oracle, index, shards[index][0].shape[0], batches)
 
     def collect_inline(index: int):
-        return collect(index, (job() for job in shard_jobs[index]))
+        return collect(index, privatized(shards[index : index + 1]))
 
     t_start = time.perf_counter()
     if chosen == "serial":
-        with _privatize_ahead([job for jobs in shard_jobs for job in jobs]) as batches:
+        chunk_counts = [
+            -(-len(shard_values) // chunk_size) for shard_values, _, _ in shards
+        ]
+        with _privatize_ahead(privatized(shards), sum(chunk_counts)) as batches:
             outcomes = [
-                collect(index, islice(batches, len(jobs)))
-                for index, jobs in enumerate(shard_jobs)
+                collect(index, islice(batches, count))
+                for index, count in enumerate(chunk_counts)
             ]
     elif pool_size > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:

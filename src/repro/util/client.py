@@ -1,16 +1,17 @@
-"""The client thread: privatize jobs run one ahead of the aggregator.
+"""The client thread: privatize steps run one ahead of the aggregator.
 
 Decoding a chunk fans out over the kernel tile pool and releases the
 GIL, so the next chunk can be privatized meanwhile.  The serial batch
 pipeline runs every shard's chunks through :func:`_privatize_ahead`,
-and the PEM and Bitstogram heavy-hitter protocols every group's chunks.
+and the PEM heavy-hitter protocol every group's chunks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -24,34 +25,34 @@ def _chunks(values: np.ndarray, chunk_size: int) -> list[np.ndarray]:
 
 
 @contextmanager
-def _privatize_ahead(jobs: Sequence[Callable[[], object]]) -> Iterator[Iterator]:
-    """Run ``jobs`` in order on one client thread, one ahead of the caller.
+def _privatize_ahead(batches: Iterator, count: int) -> Iterator[Iterator]:
+    """Take ``count`` items from ``batches`` on one client thread, one ahead.
 
-    Each job privatizes at most one chunk of users and draws only from
-    the generator bound to it.  Only the client thread runs jobs, one at
-    a time and in list order, so every generator sees the draws the
-    inline loop ``[job() for job in jobs]`` makes.  The context yields an
-    iterator over the jobs' results, in order: job ``i + 1`` runs while
-    the caller holds result ``i``, and job ``i + 2`` starts only when the
-    caller asks for result ``i + 1``, so a caller that drops each result
-    before asking for the next keeps at most two jobs' reports alive.
-    Fewer than two jobs run inline, when asked for, with no thread.
+    Each step of ``batches`` (typically a generator) privatizes at most
+    one chunk of users.  Only the client thread advances it, one step at
+    a time, so every generator it draws from sees the draws the inline
+    loop ``islice(batches, count)`` makes.  The context yields an
+    iterator over the ``count`` items, in order: item ``i + 1`` is made
+    while the caller holds item ``i``, and item ``i + 2`` only when the
+    caller asks for item ``i + 1``, so a caller that drops each item
+    before asking for the next keeps at most two chunks' reports alive.
+    Fewer than two items are made inline, when asked for, with no thread.
 
-    A job's error is raised by the iterator, once the client is idle.  An
-    error the caller raises inside the context waits for the running job
-    to end.  Either way the client thread has stopped before the error
-    leaves the context.
+    An error raised by ``batches`` is raised by the iterator, once the
+    client is idle.  An error the caller raises inside the context waits
+    for the running step to end.  Either way the client thread has
+    stopped before the error leaves the context.
     """
-    if len(jobs) < 2:
-        yield (job() for job in jobs)
+    if count < 2:
+        yield islice(batches, count)
         return
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-client") as client:
 
         def results() -> Iterator:
-            ahead = client.submit(jobs[0])
-            for job in jobs[1:]:
+            ahead = client.submit(next, batches)
+            for _ in range(count - 1):
                 done = ahead.result()
-                ahead = client.submit(job)
+                ahead = client.submit(next, batches)
                 yield done
                 del done  # the caller holds the only reference it needs
             yield ahead.result()

@@ -165,40 +165,46 @@ def _client_threads():
     return [t for t in threading.enumerate() if t.name.startswith("repro-client")]
 
 
-#: PEM over 12 bits runs five groups, Bitstogram over 4 bits five.
-_PIPELINED = {
-    "pem": lambda values, rng: pem_heavy_hitters(values, 12, 2.0, k=4, rng=rng),
-    "bitstogram": lambda values, rng: bitstogram_heavy_hitters(
-        values % 16, 4, 2.0, k=4, rng=rng
+def _pem(values, rng):
+    """PEM over 12 bits: five groups."""
+    return pem_heavy_hitters(values, 12, 2.0, k=4, rng=rng)
+
+
+#: The protocols that privatize inline, and how many groups each runs.
+_INLINE = {
+    "treehist": (
+        lambda values: treehist_heavy_hitters(values, BITS, 2.0, initial_bits=8, rng=5),
+        BITS - 8 + 1,
+    ),
+    "bitstogram": (
+        lambda values: bitstogram_heavy_hitters(values % 16, 4, 2.0, k=4, rng=5),
+        4 + 1,
     ),
 }
 
 
 class TestClientPipeline:
-    """PEM and Bitstogram privatize their groups on one client thread."""
+    """PEM privatizes its groups on one client thread; TreeHist and
+    Bitstogram privatize on the calling thread."""
 
-    @pytest.mark.parametrize("name", sorted(_PIPELINED))
     def test_error_in_the_third_group_stops_the_client(
-        self, name, heavy_population, monkeypatch
+        self, heavy_population, monkeypatch
     ):
         values, _, _ = heavy_population
         spy = _PrivatizeSpy(monkeypatch, fail_at=3)
         with pytest.raises(RuntimeError, match="call 3"):
-            _PIPELINED[name](values[:5000], 7)
+            _pem(values[:5000], 7)
         assert len(spy.threads) == 3  # no group after the failure started
         assert _client_threads() == []
 
-    @pytest.mark.parametrize("name", sorted(_PIPELINED))
-    def test_groups_run_on_one_client_thread(
-        self, name, heavy_population, monkeypatch
-    ):
+    def test_groups_run_on_one_client_thread(self, heavy_population, monkeypatch):
         values, _, _ = heavy_population
-        expected = _PIPELINED[name](values, 9)
+        expected = _pem(values, 9)
         spy = _PrivatizeSpy(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the two threads finely
         try:
-            result = _PIPELINED[name](values, 9)
+            result = _pem(values, 9)
         finally:
             sys.setswitchinterval(interval)
         assert result == expected
@@ -208,8 +214,10 @@ class TestClientPipeline:
         assert max(spy.alive) <= 2
         assert _client_threads() == []
 
-    def test_treehist_privatizes_inline(self, heavy_population, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(_INLINE))
+    def test_privatizes_inline(self, name, heavy_population, monkeypatch):
         values, _, _ = heavy_population
+        run, num_groups = _INLINE[name]
         spy = _PrivatizeSpy(monkeypatch)
-        treehist_heavy_hitters(values, BITS, 2.0, initial_bits=8, rng=5)
-        assert spy.threads == [threading.get_ident()] * (BITS - 8 + 1)
+        run(values)
+        assert spy.threads == [threading.get_ident()] * num_groups
