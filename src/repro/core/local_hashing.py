@@ -76,18 +76,61 @@ class _LocalHashing(PureFrequencyOracle):
         place: a lie skips the true hash, and kept reports overwrite it.
         """
         vals, gen = self._prepare(values, rng)
-        n = vals.shape[0]
-        seeds = gen.integers(0, 2**63 - 1, size=n, dtype=np.int64).view(np.uint64)
-        if self._domain_size <= n:
-            premixed = _premix_table(self._domain_size).take(vals)
-        else:
-            premixed = _premix(vals)
-        hashed = _hash_premixed(seeds, premixed, self.g)
-        keep = gen.random(n) < self._p
-        lies = gen.integers(0, self.g - 1, size=n)
+        seeds = self._draw_seeds(vals.shape[0], gen)
+        hashed = self._hash(vals, seeds)
+        keep, lies = self._draw_grr(vals.shape[0], gen)
         lies += lies >= hashed
         np.copyto(lies, hashed, where=keep)
         return HashedReports(seeds=seeds, values=lies)
+
+    def privatize_chunks(
+        self,
+        values: Sequence[int] | np.ndarray,
+        chunk_size: int,
+        rng: np.random.Generator | int | None = None,
+    ) -> list[HashedReports]:
+        """:meth:`privatize` chunk by chunk, hashing the population once.
+
+        Each chunk's seeds, keep flags and lies are drawn in chunk order
+        with the calls :meth:`privatize` makes, so every batch and the
+        generator's final state equal the chunk-by-chunk loop's; the
+        premix, hash and GRR then run once over all the users, and each
+        chunk's batch is a slice of the shared arrays.  An out-of-domain
+        value raises before any draw.
+        """
+        vals, gen = self._prepare(values, rng)
+        size = check_positive_int(chunk_size, name="chunk_size")
+        n = vals.shape[0]
+        seeds = np.empty(n, dtype=np.uint64)
+        keep = np.empty(n, dtype=bool)
+        lies = np.empty(n, dtype=np.int64)
+        chunks = [slice(start, min(start + size, n)) for start in range(0, n, size)]
+        for chunk in chunks:
+            seeds[chunk] = self._draw_seeds(chunk.stop - chunk.start, gen)
+            keep[chunk], lies[chunk] = self._draw_grr(chunk.stop - chunk.start, gen)
+        hashed = self._hash(vals, seeds)
+        lies += lies >= hashed
+        np.copyto(lies, hashed, where=keep)
+        return [
+            HashedReports(seeds=seeds[chunk], values=lies[chunk]) for chunk in chunks
+        ]
+
+    def _draw_seeds(self, n: int, gen: np.random.Generator) -> np.ndarray:
+        """``n`` users' hash seeds: each user's first draw."""
+        return gen.integers(0, 2**63 - 1, size=n, dtype=np.int64).view(np.uint64)
+
+    def _draw_grr(self, n: int, gen: np.random.Generator):
+        """``n`` users' keep flags, then their lies: the draws after the seeds."""
+        return gen.random(n) < self._p, gen.integers(0, self.g - 1, size=n)
+
+    def _hash(self, vals: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Each value hashed under its user's seed, premixed via the table
+        once the batch is at least as long as the domain."""
+        if self._domain_size <= vals.shape[0]:
+            premixed = _premix_table(self._domain_size).take(vals)
+        else:
+            premixed = _premix(vals)
+        return _hash_premixed(seeds, premixed, self.g)
 
     def _check_reports(self, reports: HashedReports) -> None:
         if not isinstance(reports, HashedReports):

@@ -444,6 +444,26 @@ class FrequencyOracle(LocalMechanism):
     ) -> Any:
         """Randomize one value per user; returns an opaque report batch."""
 
+    def privatize_chunks(
+        self,
+        values: Sequence[int] | np.ndarray,
+        chunk_size: int,
+        rng: np.random.Generator | int | None = None,
+    ) -> list:
+        """One report batch per ``chunk_size`` chunk of ``values``, in order.
+
+        Equal to :meth:`privatize` on each chunk in turn, all drawing from
+        one generator, which is what this default does; an oracle may
+        override it to share work across the chunks.
+        """
+        gen = ensure_generator(rng)
+        vals = np.asarray(values)
+        size = check_positive_int(chunk_size, name="chunk_size")
+        return [
+            self.privatize(vals[start : start + size], rng=gen)
+            for start in range(0, vals.shape[0], size)
+        ]
+
     def _prepare(
         self, values: Sequence[int] | np.ndarray, rng: np.random.Generator | int | None
     ) -> tuple[np.ndarray, np.random.Generator]:

@@ -69,7 +69,6 @@ from repro.core.timed import (
     concat_report_batches,
     merged_watermark,
     slice_report_batch,
-    split_by_key,
 )
 from repro.protocol.chaos import FaultPlan, FrameFilter, WorkerFault, chaos_unit
 from repro.protocol.simulation import _plan_shards
@@ -237,8 +236,8 @@ class ShardFolder:
     ``offer_batch`` is the whole worker-side algorithm: drop an envelope
     id already folded (at-least-once delivery makes redelivery normal,
     not exceptional), judge each envelope's reports against the folder's
-    own watermark, group the on-time reports by event-time pane
-    (:func:`~repro.core.timed.split_by_key`), and fold every member's
+    own watermark, group the batch's on-time reports by (envelope,
+    event-time pane) in one stable sort, and fold every member's
     panes into *fresh* accumulators with one keyed absorb
     (:meth:`~repro.core.mechanism.Accumulator.absorb_segments` — one
     decode pass per batch, however many envelopes and panes it spans).
@@ -308,15 +307,18 @@ class ShardFolder:
         advance the frontier.  Late reports are dropped before the fold
         and counted in their envelope's section.
 
-        Every fresh envelope keeps its *own* per-pane partials, one ship
-        section per envelope, so the combiner can keep deduping per
-        member id even when a worker restart regroups redelivered
-        envelopes into different batches; the batch folds them all with
-        one keyed absorb over the members' concatenated pane segments,
-        bit-identical to one fold per member.  Returns the coalesced
-        ship (``None`` when every envelope was a duplicate) plus one
-        duplicate flag per offered item, in order — exactly the flags
-        the per-envelope acks need.
+        The fresh envelopes are routed in one pass: one ``pane_index``
+        over their concatenated timestamps, each envelope's lateness mark
+        from a running maximum of the earlier envelopes' newest reports,
+        and one stable sort by (envelope, pane).  Every fresh envelope
+        still keeps its *own* per-pane partials, one ship section per
+        envelope, so the combiner can keep deduping per member id even
+        when a worker restart regroups redelivered envelopes into
+        different batches; the batch folds them all with one keyed absorb
+        over the members' pane segments, bit-identical to one fold per
+        member.  Returns the coalesced ship (``None`` when every envelope
+        was a duplicate) plus one duplicate flag per offered item, in
+        order — exactly the flags the batch's ack frame carries.
         """
         flags: list[bool] = []
         fresh: list[tuple[str, Any]] = []
@@ -350,45 +352,41 @@ class ShardFolder:
         self.duplicates += dup_count
         t0 = time.perf_counter()
         window = self._window
+        members = [payload.reports if n_timed else payload for _, payload in fresh]
+        sizes = np.array([batch_length(reports) for reports in members], dtype=np.intp)
+        owner = np.repeat(np.arange(len(fresh)), sizes)
+        keys = np.zeros(owner.shape[0], dtype=np.int64)
+        pick = np.arange(owner.shape[0])
         frontier = self._frontier
-        members: list[Any] = []
-        picks: list[np.ndarray] = []
-        cuts: list[np.ndarray] = []
-        panes: list[np.ndarray] = []
-        sections: list[tuple[str, int]] = []
-        late: list[int] = []
-        offset = held = 0
-        for envelope_id, payload in fresh:
-            reports = payload.reports if n_timed else payload
-            size = batch_length(reports)
-            pick = np.arange(size)
-            if window is None:
-                starts = pick[:1]
-            else:
-                keys = window.pane_index(payload.timestamps)
-                if frontier is not None:
-                    mark = frontier - window.allowed_lateness
-                    pick = np.flatnonzero(window.pane_bounds(keys)[1] > mark)
-                    keys = keys[pick]
-                order, starts = split_by_key(keys)
-                pick = pick[order]
-                panes.append(keys[order[starts]])
-            if n_timed and size:
-                high = float(payload.timestamps.max())
-                frontier = high if frontier is None else max(frontier, high)
-            members.append(reports)
-            picks.append(pick + offset)
-            cuts.append(starts + held)
-            sections.append((envelope_id, len(starts)))
-            late.append(size - len(pick))
-            offset += size
-            held += len(pick)
-        starts = np.concatenate(cuts)
+        if n_timed:
+            stamps = np.concatenate([payload.timestamps for _, payload in fresh])
+            # highs[i] is the frontier before member i: the folder's,
+            # raised by each earlier member's newest report.
+            highs = np.full(len(fresh) + 1, -np.inf if frontier is None else frontier)
+            filled = np.flatnonzero(sizes)
+            if filled.size:
+                firsts = np.cumsum(sizes) - sizes
+                highs[filled + 1] = np.maximum.reduceat(stamps, firsts[filled])
+            np.maximum.accumulate(highs, out=highs)
+            if highs[-1] > highs[0]:
+                frontier = float(highs[-1])
+            if window is not None:
+                keys = window.pane_index(stamps)
+                marks = highs[:-1] - window.allowed_lateness
+                pick = np.flatnonzero(window.pane_bounds(keys)[1] > marks[owner])
+        pick = pick[np.lexsort((keys[pick], owner[pick]))]
+        owner, keys = owner[pick], keys[pick]
+        edge = np.ones(pick.shape[0], dtype=bool)
+        edge[1:] = (owner[1:] != owner[:-1]) | (keys[1:] != keys[:-1])
+        starts = np.flatnonzero(edge)
+        fresh_ids = [envelope_id for envelope_id, _ in fresh]
+        sections = list(
+            zip(fresh_ids, np.bincount(owner[starts], minlength=len(fresh)).tolist())
+        )
+        late = (sizes - np.bincount(owner, minlength=len(fresh))).tolist()
         parts = [self._oracle.accumulator() for _ in range(starts.shape[0])]
         if parts:
-            batch = slice_report_batch(
-                concat_report_batches(members), np.concatenate(picks)
-            )
+            batch = slice_report_batch(concat_report_batches(members), pick)
         t1 = time.perf_counter()
         if parts:
             parts[0].absorb_segments(parts, batch, starts)
@@ -396,7 +394,7 @@ class ShardFolder:
         counts.setflags(write=False)
         pane_indices = None
         if window is not None:
-            pane_indices = np.concatenate(panes).astype(np.int64, copy=False)
+            pane_indices = keys[starts]
             pane_indices.setflags(write=False)
         rows = self._template.stack_rows(parts)
         t2 = time.perf_counter()
@@ -405,7 +403,6 @@ class ShardFolder:
         # Mark seen only after the fold succeeded: a refused batch
         # (mixed shapes, bad payload) leaves every id retryable.
         self._frontier = frontier
-        fresh_ids = [envelope_id for envelope_id, _ in sections]
         self._seen.update(fresh_ids)
         self.envelopes += len(fresh_ids)
         self.batches += 1
@@ -1520,18 +1517,18 @@ class IngestDaemon:
     and keeps one upstream connection to the combiner.  The envelopes
     queued on a client link are coalesced: whenever the link goes idle
     (the client is waiting on acks) or at eof, the buffer folds as one
-    batch (:meth:`ShardFolder.offer_batch`) and ships once, so the
-    credit window bounds a batch.  Acks, dedup and credit stay per
-    envelope, and no output depends on the grouping.  Every envelope
-    is folded and its partials shipped before the client sees an ack —
-    the end-to-end ack that makes worker restarts safe: a client never
-    drops an envelope the combiner has not merged.  The upstream link
-    reconnects with bounded exponential backoff and reships every
-    unacked payload in order; the combiner's dedup absorbs any double
-    delivery that recovery causes.  Each connect registers, and the
-    folder resumes from the frontier the combiner answers with, so a
-    restarted worker judges the envelopes its clients resend as the
-    worker before it would have.
+    batch (:meth:`ShardFolder.offer_batch`), ships once and is acked in
+    one frame listing every envelope, so the credit window bounds a
+    batch.  Dedup and credit stay per envelope, and no output depends on
+    the grouping.  Every envelope is folded and its partials shipped
+    before the client sees an ack — the end-to-end ack that makes worker
+    restarts safe: a client never drops an envelope the combiner has not
+    merged.  The upstream link reconnects with bounded exponential
+    backoff and reships every unacked payload in order; the combiner's
+    dedup absorbs any double delivery that recovery causes.  Each
+    connect registers, and the folder resumes from the frontier the
+    combiner answers with, so a restarted worker judges the envelopes
+    its clients resend as the worker before it would have.
 
     Two fault-tolerance behaviours ride the upstream link.  **At-risk
     retention**: a ship acked ``durable=False`` (the combiner merged it
@@ -1916,7 +1913,7 @@ class IngestDaemon:
         pending_read: asyncio.Future | None = None
 
         async def flush_batch() -> None:
-            """Fold the coalesced envelopes, ship once, ack each in order."""
+            """Fold the coalesced envelopes, ship once, ack them in one frame."""
             nonlocal batch
             if not batch:
                 return
@@ -1924,11 +1921,14 @@ class IngestDaemon:
             ship, dup_flags = self.folder.offer_batch(items)
             if ship is not None:
                 await self._ship(ship)
-            for (envelope_id, _payload), dup in zip(items, dup_flags):
-                write_message(
-                    writer,
-                    {"type": "ack", "envelope": envelope_id, "duplicate": dup},
-                )
+            write_message(
+                writer,
+                {
+                    "type": "ack",
+                    "envelopes": [envelope_id for envelope_id, _ in items],
+                    "duplicates": dup_flags,
+                },
+            )
             await writer.drain()
 
         try:
@@ -2021,7 +2021,10 @@ async def feed_envelopes(
     drop, no further frame is sent on that connection — the worker acks
     in receipt order, so sending past the hole would desynchronize the
     FIFO ack check below; the reconnect resends the whole window in
-    order instead.
+    order instead.  One ack frame lists a folded batch's envelope ids
+    and duplicate flags, matched oldest first; a frame naming an id out
+    of order or more ids than are in flight, or a hello whose
+    ``credits`` is not a positive int, raises :class:`ServiceError`.
 
     ``fault_callback`` fires once, scheduled by ``fault_after`` and
     shaped by ``fault_mode``: ``"restart"`` fires just before the
@@ -2069,7 +2072,11 @@ async def feed_envelopes(
         hello = await read_message(reader)
         if hello is None or hello[0].get("type") != "hello":
             raise ConnectionResetError("worker did not say hello")
-        credits = int(hello[0].get("credits", 1))
+        credits = hello[0].get("credits", 1)
+        if type(credits) is not int or credits < 1:
+            raise ServiceError(
+                f"worker hello field 'credits' must be a positive int, got {credits!r}"
+            )
         hole = False
 
     async def read_ack():
@@ -2173,16 +2180,31 @@ async def feed_envelopes(
                 header, _ = message
                 if header.get("type") != "ack":
                     raise ServiceError(f"unexpected worker reply {header!r}")
-                expected_id = inflight.popleft()[0]
-                if str(header["envelope"]) != expected_id:
+                ids, flags = header.get("envelopes"), header.get("duplicates")
+                if not (
+                    isinstance(ids, list)
+                    and isinstance(flags, list)
+                    and len(ids) == len(flags)
+                ):
                     raise ServiceError(
-                        f"ack for {header['envelope']!r} does not match the "
-                        f"oldest in-flight envelope {expected_id!r}"
+                        "ack fields 'envelopes' and 'duplicates' must be lists "
+                        f"of one length, got {ids!r} and {flags!r}"
                     )
-                if header.get("duplicate"):
-                    duplicate_acks += 1
-                delivered_ids.add(expected_id)
-                acked += 1
+                if len(ids) > len(inflight):
+                    raise ServiceError(
+                        f"ack field 'envelopes' lists {len(ids)} ids but only "
+                        f"{len(inflight)} envelopes are in flight"
+                    )
+                for acked_id, duplicate in zip(ids, flags):
+                    expected_id = inflight.popleft()[0]
+                    if str(acked_id) != expected_id:
+                        raise ServiceError(
+                            f"ack field 'envelopes' names {acked_id!r}, not the "
+                            f"oldest in-flight envelope {expected_id!r}"
+                        )
+                    duplicate_acks += bool(duplicate)
+                    delivered_ids.add(expected_id)
+                    acked += 1
                 failures = 0
             except _CONNECTION_ERRORS:
                 await _close_writer(writer)
@@ -2242,16 +2264,18 @@ def _privatize_envelopes(
     """One worker's envelope stream: its shard of the shared plan, cut
     into ``run_sharded_collection``'s chunks and privatized from the
     shard's generator in chunk order, so the service and the single-host
-    pipeline fold byte-identical report batches."""
-    chunks = _chunks(shard_values, chunk_size)
+    pipeline fold byte-identical report batches.  One
+    :meth:`~repro.core.mechanism.FrequencyOracle.privatize_chunks` call
+    makes every chunk's draws in turn, and OLH/BLH then hash the whole
+    shard in one pass."""
+    batches = oracle.privatize_chunks(shard_values, chunk_size, rng=gen)
     stamps = (
         _chunks(shard_timestamps, chunk_size)
         if shard_timestamps is not None
-        else [None] * len(chunks)
+        else [None] * len(batches)
     )
     envelopes: list[tuple[str, Any]] = []
-    for chunk_index, (chunk, stamp) in enumerate(zip(chunks, stamps)):
-        reports = oracle.privatize(chunk, rng=gen)
+    for chunk_index, (reports, stamp) in enumerate(zip(batches, stamps)):
         payload: Any = reports
         if stamp is not None:
             payload = TimedReports(timestamps=stamp, reports=reports)
@@ -2671,22 +2695,23 @@ def run_distributed_collection(
     through the shard plan
     :func:`~repro.protocol.simulation.run_sharded_collection` uses —
     same shards, same per-shard spawned generators, same ``chunk_size``
-    chunks — so both privatize the same report batches; it then drives
-    one client per ingest worker over real loopback TCP, with the
-    combiner merging the fleet's partials.  Because the accumulator
-    algebra is exact, ``estimated_counts`` is **bit-identical** to the
-    single-host pipeline for a fixed ``(num_ingest, chunk_size, rng)``,
-    including under injected duplicate delivery and worker restarts, on
-    either backend.  A windowed
-    run is a function of its inputs too: each worker judges lateness
-    against its own watermark, so the estimates, sealed windows and
-    late count equal one
+    chunks — so both privatize the same report batches (each worker's in
+    one :meth:`~repro.core.mechanism.FrequencyOracle.privatize_chunks`
+    call); it then drives one client per ingest worker over real
+    loopback TCP, with the combiner merging the fleet's partials.
+    Because the accumulator algebra is exact, ``estimated_counts`` is
+    **bit-identical** to the single-host pipeline for a fixed
+    ``(num_ingest, chunk_size, rng)``, including under injected
+    duplicate delivery and worker restarts, on either backend.  A
+    windowed run is a function of its inputs too: each worker judges
+    lateness against its own watermark, so the estimates, sealed windows
+    and late count equal one
     :class:`~repro.protocol.streaming.EventTimeCollector` per shard
     (that shard's envelopes in client order) with the shards' panes
     merged — on either backend, at any ``credit_window``, and under
-    duplicates, worker restarts and combiner crashes.  Lease eviction
-    is the one exception: a worker that heals after its lease expired
-    finds panes sealed without it, and its reports for them count late.
+    duplicates, worker restarts and combiner crashes.  Lease eviction is
+    the one exception: a worker that heals after its lease expired finds
+    panes sealed without it, and its reports for them count late.
 
     Parameters beyond the ``run_sharded_collection`` ones:
 
@@ -2707,9 +2732,9 @@ def run_distributed_collection(
     credit_window:
         Envelopes a client may have unacked.  Each ingest daemon folds
         the envelopes queued on its link as one batch whenever the link
-        goes idle, so this also bounds a batch; acks, redelivery dedup
-        and backpressure stay per envelope, and no output depends on
-        it.
+        goes idle and acks it in one frame, so this also bounds a batch;
+        redelivery dedup and backpressure stay per envelope, and no
+        output depends on it.
     faults:
         A :class:`~repro.protocol.chaos.FaultPlan` to inject during the
         run — frame drops/duplicates/delays, scheduled worker

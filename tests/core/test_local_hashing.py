@@ -1,10 +1,12 @@
 """Unit tests for BLH and OLH local-hashing oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.core.estimation import ORACLE_REGISTRY, make_oracle
 from repro.core.local_hashing import BinaryLocalHashing, OptimalLocalHashing
 from repro.core.mechanism import HashedReports
 
@@ -70,6 +72,51 @@ class TestPrivatize:
         hashed = hash_elementwise(reports.seeds, np.full(n, 9), olh.g)
         agree = float((reports.values == hashed).mean())
         assert abs(agree - olh.p_star) < 0.01
+
+
+def _batch_arrays(batch) -> list[np.ndarray]:
+    if dataclasses.is_dataclass(batch):
+        return [getattr(batch, f.name) for f in dataclasses.fields(batch)]
+    return [np.asarray(batch)]
+
+
+class TestPrivatizeChunks:
+    """``privatize_chunks`` equals ``privatize`` chunk by chunk, for every
+    registered oracle: OLH and BLH override it to hash once, the rest
+    inherit the chunk loop."""
+
+    # d = 64: OLH premixes 40 users directly and gathers 300 from its table.
+    @pytest.mark.parametrize("name", sorted(ORACLE_REGISTRY))
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256, 300])
+    def test_equals_privatize_chunk_by_chunk(self, name, n, chunk_size):
+        oracle = make_oracle(name, 64, 1.3)
+        values = np.random.default_rng(n).integers(0, 64, size=n)
+        chunked_gen, loop_gen = np.random.default_rng(7), np.random.default_rng(7)
+        batches = oracle.privatize_chunks(values, chunk_size, rng=chunked_gen)
+        expected = [
+            oracle.privatize(values[start : start + chunk_size], rng=loop_gen)
+            for start in range(0, n, chunk_size)
+        ]
+        assert len(batches) == len(expected)
+        for got, want in zip(batches, expected):
+            assert type(got) is type(want)
+            for got_array, want_array in zip(_batch_arrays(got), _batch_arrays(want)):
+                assert got_array.dtype == want_array.dtype
+                assert np.array_equal(got_array, want_array)
+        assert chunked_gen.bit_generator.state == loop_gen.bit_generator.state
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_REGISTRY))
+    def test_refuses_out_of_domain_values(self, name):
+        oracle = make_oracle(name, 16, 1.0)
+        values = np.arange(40) % 16
+        values[-1] = 16
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError):
+            oracle.privatize_chunks(values, 7, rng=gen)
+        if name in ("OLH", "BLH"):
+            assert gen.bit_generator.state == state  # raised before any draw
 
 
 class TestAggregate:

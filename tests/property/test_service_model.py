@@ -313,24 +313,27 @@ TestServiceCores = ServiceCores.TestCase
 
 
 def _member(gen, oracle, kind, windowed):
-    """One envelope: empty, all behind the watermark, or across panes."""
-    size = {"empty": 0, "late": 5, "panes": int(gen.integers(1, 30))}[kind]
+    """One envelope: empty, all behind the watermark, across panes, or
+    far ahead, raising the frontier the members after it are judged by."""
+    drawn = int(gen.integers(1, 30))
+    size = {"empty": 0, "late": 5}.get(kind, drawn)
     reports = slice_report_batch(
         oracle.privatize(gen.integers(0, 8, size=size + 1), rng=gen),
         np.arange(size),
     )
     if not windowed:
         return reports
-    if kind == "late":
-        return TimedReports(gen.uniform(0.0, 5.0, size=size), reports)
-    return TimedReports(gen.uniform(8.0, 14.0, size=size), reports)
+    low, high = {"late": (0.0, 5.0), "ahead": (20.0, 30.0)}.get(kind, (8.0, 14.0))
+    return TimedReports(gen.uniform(low, high, size=size), reports)
 
 
 @pytest.mark.parametrize("name", ["OLH", "OUE", "HR"])
 @pytest.mark.parametrize("windowed", [True, False], ids=["windowed", "unwindowed"])
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kinds=st.lists(st.sampled_from(["empty", "late", "panes"]), min_size=1, max_size=6),
+    kinds=st.lists(
+        st.sampled_from(["empty", "late", "panes", "ahead"]), min_size=1, max_size=6
+    ),
 )
 @settings(max_examples=15, deadline=None)
 def test_one_batch_folds_like_one_offer_per_member(name, windowed, seed, kinds):

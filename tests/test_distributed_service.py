@@ -652,6 +652,87 @@ def test_refused_batch_closes_its_connection():
     assert asyncio.run(main()) < 10.0
 
 
+def _feed_scripted_worker(hello: dict, ack: dict | None, envelopes):
+    """Run ``feed_envelopes`` against a scripted worker and return its
+    result.  The worker says ``hello``; given an ``ack``, it reads every
+    envelope and answers with that one frame; it acks an eof and waits
+    for the client to hang up.  The exchange must end within seconds."""
+    import asyncio
+    import contextlib
+
+    from repro.core.serialization import TruncatedFrameError
+    from repro.protocol import feed_envelopes
+    from repro.protocol.transport import read_message, write_message
+
+    async def serve(reader, writer):
+        try:
+            write_message(writer, hello)
+            await writer.drain()
+            if ack is not None:
+                for _ in envelopes:
+                    await read_message(reader)
+                write_message(writer, ack)
+                await writer.drain()
+            while (message := await read_message(reader)) is not None:
+                if message[0].get("type") == "eof":
+                    write_message(writer, {"type": "eof_ack"})
+                    await writer.drain()
+        except (ConnectionError, asyncio.IncompleteReadError, TruncatedFrameError):
+            pass
+        finally:
+            writer.close()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
+
+    async def main():
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        try:
+            address = server.sockets[0].getsockname()[:2]
+            return await asyncio.wait_for(feed_envelopes(address, envelopes), 5)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(main())
+
+
+_TWO_ENVELOPES = [("e0", np.arange(3)), ("e1", np.arange(3))]
+
+
+def test_client_matches_a_batch_ack_fifo():
+    ack = {"type": "ack", "envelopes": ["e0", "e1"], "duplicates": [False, True]}
+    stats = _feed_scripted_worker(
+        {"type": "hello", "credits": 2}, ack, _TWO_ENVELOPES
+    )
+    assert (stats["sent"], stats["delivered"], stats["duplicate_acks"]) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("credits", [0, -2, 2.5, "8", None])
+def test_client_refuses_a_hello_without_positive_int_credits(credits):
+    # With credits 0 the client used to send nothing and then wait for
+    # an ack forever; a non-integer raised a bare ValueError.
+    with pytest.raises(ServiceError, match="'credits'"):
+        _feed_scripted_worker(
+            {"type": "hello", "credits": credits}, None, _TWO_ENVELOPES
+        )
+
+
+@pytest.mark.parametrize(
+    "ids,flags,match",
+    [
+        (["e0", "e1"], [False], "'duplicates'"),
+        ("e0", False, "must be lists"),
+        (["e0", "e1", "e2"], [False] * 3, "only 2 envelopes are in flight"),
+        (["e1", "e0"], [False, False], "names 'e1', not the oldest in-flight"),
+    ],
+    ids=["flags-short", "not-lists", "more-than-in-flight", "out-of-order"],
+)
+def test_client_refuses_a_malformed_batch_ack(ids, flags, match):
+    ack = {"type": "ack", "envelopes": ids, "duplicates": flags}
+    with pytest.raises(ServiceError, match=match):
+        _feed_scripted_worker({"type": "hello", "credits": 2}, ack, _TWO_ENVELOPES)
+
+
 def test_combiner_result_requires_full_drain():
     oracle = make_oracle("DE", 4, 1.0)
     core = CombinerCore(oracle, num_workers=2)
